@@ -260,8 +260,10 @@ def mha_forward(
 
     Projects Q/K/V for all heads in batched matmuls, rotates Q and K at their
     absolute positions, appends K and V to the cache, and attends causally.
-    Works for prefill (several rows of x) and single-token decode alike; the
-    prefill path loops heads to bound score-matrix memory.
+    Works for prefill (several rows of x) and single-token decode alike. The
+    prefill path loops heads and holds one (T, start + T) score buffer per
+    head, which is scaled and softmax-normalized in place; each head's value
+    blend is written straight into its columns of the merged output.
     """
     config = cache.config
     num_heads, head_dim = config.num_heads, config.head_dim
@@ -295,15 +297,15 @@ def mha_forward(
         merged = _blend_values(probs, live_values).reshape(1, num_heads * head_dim)
         return matmul(merged, layer_weights.wo)
 
-    outputs = []
+    merged = np.empty((tokens, num_heads * head_dim), dtype=np.float32)
     for head in range(num_heads):
-        scores = matmul(queries[:, head, :], live_keys[head].T) * scale
-        probs = softmax_rows(scores, causal_from=start)
-        outputs.append(matmul(probs, live_values[head]))
+        probs = matmul(queries[:, head, :], live_keys[head].T)
+        probs *= scale
+        softmax_rows(probs, causal_from=start, out=probs)
+        merged[:, head * head_dim : (head + 1) * head_dim] = matmul(probs, live_values[head])
         if trace is not None:
             for i in range(tokens):
                 trace.record(layer, head, start + i, probs[i, : start + i + 1])
-    merged = np.concatenate(outputs, axis=1)
     return matmul(merged, layer_weights.wo)
 
 

@@ -89,7 +89,8 @@ def kmeans(
         result = _lloyd(points, init, max_iter, tol)
         if best is None or result.sse < best.sse:
             best = result
-    assert best is not None
+    if best is None:
+        raise ContractError("kmeans has no initialization to run (restarts=0, no extra_inits)")
     return best
 
 
@@ -157,7 +158,10 @@ def _lloyd(points: np.ndarray, init: np.ndarray, max_iter: int, tol: float) -> K
         assignment = d2.argmin(axis=1)
         assignment, centroids = _repair_empty(points, assignment, centroids, d2)
         sse = float(((points - centroids[assignment]) ** 2).sum())
-        assert sse <= prev_sse + 1e-9, "SSE increased across a Lloyd iteration"
+        if sse > prev_sse + 1e-9:
+            raise ContractError(
+                f"SSE increased across a Lloyd iteration ({prev_sse!r} -> {sse!r})"
+            )
         if np.isfinite(prev_sse) and prev_sse - sse <= tol * max(prev_sse, 1e-12):
             prev_sse = sse
             break

@@ -301,10 +301,12 @@ def generate(
 
     plan_tensors = None
     if mode == "CHAI_STATIC":
+        ident_start = time.perf_counter()
         plan = profile.static_assignment
         plan_snapshot = plan.to_dict()
         cache = prune_cache(cache, plan)
         plan_tensors = PlanTensors(plan, weights.layers, config.head_dim)
+        identification_ms = (time.perf_counter() - ident_start) * 1000.0
         identified_at_step = 0
 
     tokens: list[int] = []

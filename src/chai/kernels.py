@@ -2,7 +2,9 @@
 
 Everything here operates on float32 numpy arrays. A "matrix" is a 2-D,
 row-major (C-contiguous) float32 ndarray; vectors are 1-D float32 ndarrays.
-All kernels are pure functions and safe to call concurrently.
+All kernels are pure functions and safe to call concurrently, except that
+`softmax_rows(..., out=buf)` writes its result into the caller's `buf`
+(numpy's `out=` idiom; `out=m` normalizes in place and saves the copy).
 
 Row softmax and the score paths are deliberately row-independent so that
 computing a subset of rows yields bit-identical values to computing the
@@ -37,7 +39,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return a @ b
 
 
-def softmax_rows(m: Matrix, causal_from: int | None = None) -> Matrix:
+def softmax_rows(
+    m: Matrix, causal_from: int | None = None, out: Matrix | None = None
+) -> Matrix:
     """Row-wise softmax with optional causal masking.
 
     Rows are normalized independently after subtracting the row max, so each
@@ -46,38 +50,41 @@ def softmax_rows(m: Matrix, causal_from: int | None = None) -> Matrix:
     When `causal_from` is given, row i is treated as the score row of the
     query at absolute position `causal_from + i`, and any column j (a key
     position) with j > causal_from + i is masked to exactly 0.
+
+    `out` names the float32 buffer, shaped like `m`, that receives the result;
+    `out=m` normalizes a float32 `m` in place. By default a new array is
+    returned and `m` is left untouched. The input is validated before `out`
+    is written.
     """
     scores = np.asarray(m, dtype=DTYPE)
     if scores.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D matrix, got shape {scores.shape}")
-    if scores.shape[1] == 0:
-        raise ContractError("softmax over an empty row")
-    if causal_from is None:
-        return _plain_softmax(scores)
-
     n_rows, n_cols = scores.shape
-    if causal_from < 0:
+    if n_cols == 0:
+        raise ContractError("softmax over an empty row")
+    if causal_from is not None and causal_from < 0:
         raise ContractError(
             f"causal softmax row 0 at position {causal_from} has no unmasked entries"
         )
-    query_pos = causal_from + np.arange(n_rows)
-    # Nothing to mask when every key position is visible to every row.
-    if n_cols - 1 <= causal_from:
-        return _plain_softmax(scores)
+    if out is None:
+        out = scores.copy()
+    elif out.shape != scores.shape or out.dtype != DTYPE:
+        raise ShapeError(
+            f"softmax_rows out buffer {out.dtype}{out.shape} does not match "
+            f"scores {DTYPE.__name__}{scores.shape}"
+        )
+    elif out is not scores:
+        np.copyto(out, scores)
 
-    masked = np.arange(n_cols)[None, :] > query_pos[:, None]
-    shifted = np.where(masked, -np.inf, scores)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    probs[masked] = 0.0
-    return probs.astype(DTYPE, copy=False)
-
-
-def _plain_softmax(scores: Matrix) -> Matrix:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return (exp / exp.sum(axis=1, keepdims=True)).astype(DTYPE, copy=False)
+    # Masking is needed only when some key position lies beyond a row's query.
+    if causal_from is not None and n_cols - 1 > causal_from:
+        query_pos = causal_from + np.arange(n_rows)
+        np.copyto(out, -np.inf, where=np.arange(n_cols)[None, :] > query_pos[:, None])
+    # exp(-inf) is exactly +0.0, so masked entries come out as 0 with no fix-up.
+    out -= out.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from chai.attention import _head_scale, _project_heads, _to_cache_layout
 from chai.engine import CalibrationProfile
+from chai.kernels import apply_rope_heads, matmul
 from chai.model import ModelConfig, Weights, init_random, make_redundant
 from chai.plan import ClusterPlan, LayerPlan
 
@@ -112,3 +114,62 @@ def acceptance_fixture(base_seed=0, boost=6.0):
 def acceptance_corpus(config, samples=8, length=10, seed=123):
     rng = np.random.default_rng(seed)
     return [rng.integers(0, config.vocab_size, size=length).tolist() for _ in range(samples)]
+
+
+def reference_softmax_rows(scores, causal_from=None):
+    """Out-of-place row softmax as first written: mask with np.where, subtract
+    the row max, exponentiate, divide by the row sum, then zero the masked
+    entries. The production kernel must match it byte for byte."""
+    scores = np.asarray(scores, dtype=np.float32)
+    masked = np.zeros(scores.shape, dtype=bool)
+    if causal_from is not None:
+        query_pos = causal_from + np.arange(scores.shape[0])
+        masked = np.arange(scores.shape[1])[None, :] > query_pos[:, None]
+    shifted = np.where(masked, -np.inf, scores)
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs[masked] = 0.0
+    return probs.astype(np.float32, copy=False)
+
+
+def reference_mha_forward(x, layer_weights, cache, layer, trace=None):
+    """`attention.mha_forward` as first written: per-head prefill with the
+    out-of-place reference softmax on a fresh score matrix and per-head
+    outputs collected in a list and concatenated. The bit-identity oracle for
+    the in-place prefill path."""
+    config = cache.config
+    num_heads, head_dim = config.num_heads, config.head_dim
+    lc = cache.layers[layer]
+    tokens = x.shape[0]
+    start = lc.length
+    scale = _head_scale(head_dim)
+    all_heads = list(range(num_heads))
+
+    queries = apply_rope_heads(_project_heads(x, layer_weights.wq, all_heads, head_dim), start)
+    new_keys = apply_rope_heads(_project_heads(x, layer_weights.wk, all_heads, head_dim), start)
+    new_values = _project_heads(x, layer_weights.wv, all_heads, head_dim)
+    lc.append(_to_cache_layout(new_keys), _to_cache_layout(new_values))
+    live_keys = lc.live_keys()
+    live_values = lc.live_values()
+
+    if tokens == 1:
+        scores = np.matmul(queries[0][:, None, :], live_keys.transpose(0, 2, 1))[:, 0, :]
+        scores *= scale
+        probs = reference_softmax_rows(scores)
+        if trace is not None:
+            for head in range(num_heads):
+                trace.record(layer, head, start, probs[head])
+        merged = np.matmul(probs[:, None, :], live_values)[:, 0, :]
+        return matmul(merged.reshape(1, num_heads * head_dim), layer_weights.wo)
+
+    outputs = []
+    for head in range(num_heads):
+        scores = matmul(queries[:, head, :], live_keys[head].T) * scale
+        probs = reference_softmax_rows(scores, causal_from=start)
+        outputs.append(matmul(probs, live_values[head]))
+        if trace is not None:
+            for i in range(tokens):
+                trace.record(layer, head, start + i, probs[i, : start + i + 1])
+    merged = np.concatenate(outputs, axis=1)
+    return matmul(merged, layer_weights.wo)

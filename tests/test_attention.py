@@ -16,7 +16,7 @@ from chai.attention import (
 from chai.errors import ContractError, InsufficientTraceError, ModeMismatchError
 from chai.model import ModelConfig, init_random, make_redundant
 from chai.plan import ClusterPlan, LayerPlan
-from helpers import grouped_plan, small_weights
+from helpers import grouped_plan, reference_mha_forward, small_weights
 
 
 def decode_mha(weights, x_rows, trace=None):
@@ -136,6 +136,41 @@ class TestMhaForward:
         pruned = prune_cache(cache, grouped_plan(2, 4, [2, 2]))
         with pytest.raises(ModeMismatchError):
             mha_forward(x, weights.layers[0], pruned, 0)
+
+
+class TestPrefillOracle:
+    """The in-place prefill path against the reference per-head prefill: the
+    output, every cache plane and every trace row must be byte-equal."""
+
+    @pytest.mark.parametrize("prior", [0, 9])
+    @pytest.mark.parametrize("tokens", [1, 2, 7, 64, 65, 130])
+    def test_byte_equal_to_reference(self, tokens, prior):
+        weights = small_weights(seed=21, max_seq_len=160)
+        rng = np.random.default_rng(tokens * 100 + prior)
+        chunks = [
+            rng.standard_normal((n, 32)).astype(np.float32) for n in (prior, tokens) if n
+        ]
+        runs = []
+        for forward in (mha_forward, reference_mha_forward):
+            cache = KVCache(weights.config)
+            trace = AttentionTrace(2, 4)
+            outs = [forward(x, weights.layers[1], cache, 1, trace) for x in chunks]
+            runs.append((outs, cache.layers[1], trace))
+        (got, got_cache, got_trace), (want, want_cache, want_trace) = runs
+
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float32 and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        assert got_cache.length == want_cache.length == prior + tokens
+        assert got_cache.keys.tobytes() == want_cache.keys.tobytes()
+        assert got_cache.values.tobytes() == want_cache.values.tobytes()
+        assert got_trace._rows.keys() == want_trace._rows.keys()
+        for key, rows in want_trace._rows.items():
+            assert sorted(got_trace._rows[key]) == sorted(rows) == list(
+                range(1, prior + tokens + 1)
+            )
+            for step, row in rows.items():
+                assert got_trace._rows[key][step].tobytes() == row.tobytes()
 
 
 class TestClusteredForward:

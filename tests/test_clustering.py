@@ -1,8 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import chai
+import chai.clustering as clustering_mod
 from chai.attention import AttentionTrace
 from chai.clustering import (
     choose_representatives,
@@ -164,6 +170,59 @@ class TestKMeans:
             points = rng.uniform(size=(n, 2))
             result = kmeans(points, k, seed=int(rng.integers(1 << 30)), restarts=5)
             assert sorted(set(result.assignment.tolist())) == list(range(k))
+
+
+class TestKMeansGuards:
+    """Internal invariants raise ContractError, also under `python -O`."""
+
+    POINTS = np.random.default_rng(8).standard_normal((6, 2))
+
+    def test_sse_increase_raises(self, monkeypatch):
+        real_means = clustering_mod._cluster_means
+        monkeypatch.setattr(
+            clustering_mod, "_cluster_means", lambda *args: real_means(*args) + 100.0
+        )
+        with pytest.raises(ContractError, match="SSE increased"):
+            kmeans(self.POINTS, 2, seed=0, restarts=1)
+
+    def test_no_initialization_raises(self):
+        with pytest.raises(ContractError, match="no initialization"):
+            kmeans(self.POINTS, 2, restarts=0)
+
+    def test_guards_survive_optimized_mode(self):
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            import chai.clustering as c
+            from chai.errors import ContractError
+
+            if __debug__:
+                raise SystemExit("interpreter is not running with -O")
+            points = np.random.default_rng(8).standard_normal((6, 2))
+            try:
+                c.kmeans(points, 2, restarts=0)
+            except ContractError:
+                pass
+            else:
+                raise SystemExit("kmeans without initializations did not raise")
+            real_means = c._cluster_means
+            c._cluster_means = lambda *args: real_means(*args) + 100.0
+            try:
+                c.kmeans(points, 2, seed=0, restarts=1)
+            except ContractError:
+                print("guarded")
+            else:
+                raise SystemExit("an SSE increase did not raise")
+            """
+        )
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(chai.__file__)))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "guarded"
 
 
 class TestSseCurve:

@@ -172,6 +172,14 @@ class TestGenerateStaticAndQkv:
         assert all(v == [4, 4] for v in result.per_step_value_head_counts)
         assert result.plan is profile.static_assignment
 
+    def test_static_times_pruning_as_identification(self):
+        weights, plan = redundant_fixture([2, 2], seed=11)
+        profile = fixture_profile(weights, plan)
+        result = generate(weights, [1, 2, 3], 4, "CHAI_STATIC", profile=profile)
+        assert result.identified_at_step == 0
+        assert result.identification_ms > 0.0
+        assert result.steady_step_ms() == result.step_ms
+
     def test_static_on_redundant_fixture_matches_mha(self):
         weights, plan = redundant_fixture([1, 2], seed=12)
         profile = fixture_profile(weights, plan)

@@ -5,6 +5,7 @@ import pytest
 
 from chai.errors import ConfigError, ContractError, ShapeError
 from chai.kernels import apply_rope, matmul, rms_norm, softmax_rows
+from helpers import reference_softmax_rows
 
 
 def naive_matmul(a, b):
@@ -105,6 +106,82 @@ class TestSoftmaxRows:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ContractError):
             softmax_rows(np.zeros((1, 0), dtype=np.float32))
+
+
+class TestSoftmaxRowsOut:
+    """`out=` picks the destination buffer; the values never depend on it."""
+
+    CASES = [None, 0, 3, 9, 20]  # plain, then causal offsets down to no masking
+
+    @staticmethod
+    def scores(rows=12, cols=21, seed=13):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((rows, cols)) * 4).astype(np.float32)
+
+    @pytest.mark.parametrize("causal_from", CASES)
+    def test_matches_reference_byte_for_byte(self, causal_from):
+        scores = self.scores()
+        want = reference_softmax_rows(scores, causal_from)
+        assert softmax_rows(scores, causal_from).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("causal_from", CASES)
+    def test_input_untouched_without_out(self, causal_from):
+        scores = self.scores()
+        before = scores.copy()
+        result = softmax_rows(scores, causal_from)
+        assert result is not scores
+        assert scores.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("causal_from", CASES)
+    def test_in_place_equals_out_of_place(self, causal_from):
+        scores = self.scores()
+        want = softmax_rows(scores, causal_from)
+        result = softmax_rows(scores, causal_from, out=scores)
+        assert result is scores
+        assert scores.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("causal_from", CASES)
+    def test_separate_out_buffer(self, causal_from):
+        scores = self.scores()
+        before = scores.copy()
+        buf = np.full_like(scores, np.nan)
+        result = softmax_rows(scores, causal_from, out=buf)
+        assert result is buf
+        assert buf.tobytes() == softmax_rows(scores, causal_from).tobytes()
+        assert scores.tobytes() == before.tobytes()
+
+    def test_masked_entries_are_positive_zero(self):
+        scores = self.scores(rows=6, cols=9)
+        out = softmax_rows(scores, causal_from=1, out=scores)
+        masked = np.arange(9)[None, :] > 1 + np.arange(6)[:, None]
+        assert masked.any()
+        assert np.all(out[masked] == 0.0) and not np.any(np.signbit(out[masked]))
+        assert np.all(out[~masked] > 0.0)
+
+    @pytest.mark.parametrize(
+        "scores, causal_from, error",
+        [
+            (np.ones((3, 4), dtype=np.float32), -1, ContractError),
+            (np.ones((3, 0), dtype=np.float32), None, ContractError),
+            (np.ones(4, dtype=np.float32), None, ShapeError),
+        ],
+    )
+    def test_errors_raised_before_out_is_written(self, scores, causal_from, error):
+        buf = np.full(scores.shape, 7.0, dtype=np.float32)
+        with pytest.raises(error):
+            softmax_rows(scores, causal_from, out=buf)
+        assert np.all(buf == 7.0)
+        with pytest.raises(error):
+            softmax_rows(scores, causal_from, out=scores)
+        assert np.all(scores == 1.0)
+
+    @pytest.mark.parametrize(
+        "buf", [np.zeros((3, 5), dtype=np.float32), np.zeros((3, 4), dtype=np.float64)]
+    )
+    def test_mismatched_out_rejected_untouched(self, buf):
+        with pytest.raises(ShapeError):
+            softmax_rows(np.ones((3, 4), dtype=np.float32), out=buf)
+        assert not buf.any()
 
 
 class TestRmsNorm:
