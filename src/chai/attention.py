@@ -1,11 +1,15 @@
 """Multi-head and clustered-head attention over a prunable KV cache.
 
-The two forward paths share their per-head primitives (head-block projection,
-rotary application, score row, row softmax, value blending), so a cluster plan
-with one head per cluster makes `clustered_forward` reproduce `mha_forward`
-bit for bit. Pruning physically drops key storage for non-representative
-heads; value rows are kept for every head, except under the value-reuse
-variant which stores only the representatives' values.
+There is one single-token attention path, `clustered_forward`. Under a frozen
+plan it reads as grouped-query attention (GQA) over a per-request layout:
+each cache slot holds one cluster representative's key plane, the slot's
+query is the representative's, and every head blends values with its slot's
+probability row. Plain multi-head decoding is the singleton plan (one head
+per slot), which prunes nothing and selects no weight columns.
+`mha_forward` is the multi-row causal path over an unpruned cache, used for
+prefill. Pruning physically drops key storage for non-representative heads;
+value rows are kept for every head, except under the value-reuse variant
+which stores only the representatives' values.
 
 Cache ownership: a KVCache belongs to exactly one in-flight request. Layer
 weights are read-only and shareable.
@@ -222,14 +226,9 @@ def head_columns(w: np.ndarray, heads, head_dim: int) -> np.ndarray:
     return np.ascontiguousarray(w[:, cols])
 
 
-def _project_heads(
-    x: np.ndarray, w: np.ndarray, heads, head_dim: int, submatrix: np.ndarray | None = None
-) -> np.ndarray:
-    """One batched projection for the selected heads: (T, n_heads, head_dim)."""
-    if submatrix is None:
-        submatrix = head_columns(w, heads, head_dim)
-    flat = matmul(x, submatrix)
-    return flat.reshape(x.shape[0], len(heads), head_dim)
+def _project_heads(x: np.ndarray, columns: np.ndarray, head_dim: int) -> np.ndarray:
+    """One batched projection onto selected head columns: (T, n_heads, head_dim)."""
+    return matmul(x, columns).reshape(x.shape[0], -1, head_dim)
 
 
 def _to_cache_layout(block: np.ndarray) -> np.ndarray:
@@ -256,14 +255,14 @@ def mha_forward(
     layer: int,
     trace: AttentionTrace | None = None,
 ) -> np.ndarray:
-    """Standard multi-head attention over an unpruned cache.
+    """Causal multi-head attention of several rows over an unpruned cache.
 
     Projects Q/K/V for all heads in batched matmuls, rotates Q and K at their
     absolute positions, appends K and V to the cache, and attends causally.
-    Works for prefill (several rows of x) and single-token decode alike. The
-    prefill path loops heads and holds one (T, start + T) score buffer per
-    head, which is scaled and softmax-normalized in place; each head's value
-    blend is written straight into its columns of the merged output.
+    Serves prefill and calibration prefixes; decode steps go through
+    `clustered_forward`. Heads are looped, each holding one (T, start + T)
+    score buffer that is scaled and softmax-normalized in place; each head's
+    value blend is written straight into its columns of the merged output.
     """
     config = cache.config
     num_heads, head_dim = config.num_heads, config.head_dim
@@ -279,24 +278,14 @@ def mha_forward(
     tokens = x.shape[0]
     start = lc.length
     scale = _head_scale(head_dim)
-    all_heads = list(range(num_heads))
 
-    queries = apply_rope_heads(_project_heads(x, layer_weights.wq, all_heads, head_dim), start)
-    new_keys = apply_rope_heads(_project_heads(x, layer_weights.wk, all_heads, head_dim), start)
-    new_values = _project_heads(x, layer_weights.wv, all_heads, head_dim)
+    queries = apply_rope_heads(_project_heads(x, layer_weights.wq, head_dim), start)
+    new_keys = apply_rope_heads(_project_heads(x, layer_weights.wk, head_dim), start)
+    new_values = _project_heads(x, layer_weights.wv, head_dim)
     lc.append(_to_cache_layout(new_keys), _to_cache_layout(new_values))
 
     live_keys = lc.live_keys()
     live_values = lc.live_values()
-
-    if tokens == 1:
-        probs = softmax_rows(_score_rows(queries[0], live_keys, scale))
-        if trace is not None:
-            for head in range(num_heads):
-                trace.record(layer, head, start, probs[head])
-        merged = _blend_values(probs, live_values).reshape(1, num_heads * head_dim)
-        return matmul(merged, layer_weights.wo)
-
     merged = np.empty((tokens, num_heads * head_dim), dtype=np.float32)
     for head in range(num_heads):
         probs = matmul(queries[:, head, :], live_keys[head].T)
@@ -310,16 +299,40 @@ def mha_forward(
 
 
 class PlanTensors:
-    """Per-layer Q/K column submatrices for a frozen plan, precomputed once so
-    steady-state decode steps skip the per-step column gathers."""
+    """Everything a decode step needs from a frozen plan, built once per plan.
 
-    def __init__(self, plan: ClusterPlan, weights_layers, head_dim: int):
-        self.wq = []
-        self.wk = []
+    Per layer: the representatives' wq/wk columns in cluster order, the wv
+    columns of the stored value heads, the cluster whose key each cache slot
+    holds, the slot whose probability row each head uses, and the key and
+    value head lists the cache must store. Slots hold representatives in
+    ascending head order, as `prune_cache` leaves them. `prune_values`
+    selects the value-reuse variant: one value head per slot. Under the
+    singleton plan every column selection is the weight matrix itself.
+    """
+
+    def __init__(
+        self, plan: ClusterPlan, weights_layers, head_dim: int, prune_values: bool = False
+    ):
+        self.prune_values = prune_values
+        self.wq, self.wk, self.wv = [], [], []
+        self.cluster_of_slot, self.slot_of_head = [], []
+        self.key_heads, self.value_heads = [], []
         for layer_weights, layer_plan in zip(weights_layers, plan.layers):
             reps = list(layer_plan.representatives)
+            key_heads = sorted(reps)
+            value_heads = key_heads if prune_values else list(range(layer_plan.num_heads))
+            cluster_of_slot = np.array(
+                [layer_plan.assignment[h] for h in key_heads], dtype=np.intp
+            )
+            slot_of_cluster = np.empty(len(reps), dtype=np.intp)
+            slot_of_cluster[cluster_of_slot] = np.arange(len(reps))
             self.wq.append(head_columns(layer_weights.wq, reps, head_dim))
             self.wk.append(head_columns(layer_weights.wk, reps, head_dim))
+            self.wv.append(head_columns(layer_weights.wv, value_heads, head_dim))
+            self.cluster_of_slot.append(cluster_of_slot)
+            self.slot_of_head.append(slot_of_cluster[np.asarray(layer_plan.assignment)])
+            self.key_heads.append(key_heads)
+            self.value_heads.append(value_heads)
 
 
 def clustered_forward(
@@ -327,65 +340,52 @@ def clustered_forward(
     layer_weights: LayerWeights,
     cache: KVCache,
     layer: int,
-    plan: ClusterPlan,
-    reuse_values: bool = False,
-    plan_tensors: PlanTensors | None = None,
+    plan_tensors: PlanTensors,
+    trace: AttentionTrace | None = None,
 ) -> np.ndarray:
     """Single-token attention computing Q/K and score rows only for cluster
-    representatives. Every head's output uses its representative's probability
-    row; with `reuse_values` the representative's value output is replicated
-    across the cluster instead of blending each head's own values."""
+    representatives; every head's output uses its representative's
+    probability row. With one value head per slot (value reuse) the slot's
+    value output is replicated across the cluster instead of blending each
+    head's own values. `trace` records each head's probability row."""
     config = cache.config
     num_heads, head_dim = config.num_heads, config.head_dim
-    layer_plan = plan.layers[layer]
     lc = cache.layers[layer]
-
-    reps = list(layer_plan.representatives)
-    reps_sorted = sorted(reps)
-    if lc.stored_key_heads != reps_sorted:
+    pt = plan_tensors
+    expected = (pt.key_heads[layer], pt.value_heads[layer])
+    if (lc.stored_key_heads, lc.stored_value_heads) != expected:
         raise ContractError(
-            f"cache stores key heads {lc.stored_key_heads}, "
-            f"plan representatives are {reps_sorted}"
-        )
-    expected_value_heads = reps_sorted if reuse_values else list(range(num_heads))
-    if lc.stored_value_heads != expected_value_heads:
-        raise ContractError(
-            f"cache stores value heads {lc.stored_value_heads}, expected {expected_value_heads}"
+            f"cache stores key heads {lc.stored_key_heads} and value heads "
+            f"{lc.stored_value_heads}; the plan expects {expected[0]} and {expected[1]}"
         )
     if x_t.ndim != 2 or x_t.shape[0] != 1 or x_t.shape[1] != config.model_dim:
         raise ShapeError(f"clustered_forward decodes one token, got input {x_t.shape}")
 
     start = lc.length
     scale = _head_scale(head_dim)
+    cluster_of_slot = pt.cluster_of_slot[layer]
+    slot_of_head = pt.slot_of_head[layer]
 
-    wq_sub = plan_tensors.wq[layer] if plan_tensors is not None else None
-    wk_sub = plan_tensors.wk[layer] if plan_tensors is not None else None
     # projections land in cluster-id order (one row per cluster)
-    queries = apply_rope_heads(
-        _project_heads(x_t, layer_weights.wq, reps, head_dim, wq_sub), start
-    )
-    new_keys = apply_rope_heads(
-        _project_heads(x_t, layer_weights.wk, reps, head_dim, wk_sub), start
-    )
-    new_values = _project_heads(x_t, layer_weights.wv, expected_value_heads, head_dim)
+    queries = apply_rope_heads(_project_heads(x_t, pt.wq[layer], head_dim), start)
+    new_keys = apply_rope_heads(_project_heads(x_t, pt.wk[layer], head_dim), start)
+    new_values = _project_heads(x_t, pt.wv[layer], head_dim)
 
     # cache slots hold representatives in ascending-head order; reorder the
     # small per-token tensors rather than the cached key planes
-    cluster_of_slot = [layer_plan.assignment[h] for h in reps_sorted]
     lc.append(_to_cache_layout(new_keys[:, cluster_of_slot, :]), _to_cache_layout(new_values))
 
     live_keys = lc.live_keys()
     live_values = lc.live_values()
 
     probs_by_slot = softmax_rows(_score_rows(queries[0][cluster_of_slot], live_keys, scale))
+    if trace is not None:
+        for head in range(num_heads):
+            trace.record(layer, head, start, probs_by_slot[slot_of_head[head]])
 
-    slot_of_cluster = np.empty(layer_plan.cluster_count, dtype=np.intp)
-    slot_of_cluster[cluster_of_slot] = np.arange(len(cluster_of_slot))
-    assignment = np.asarray(layer_plan.assignment)
-    if reuse_values:
-        rep_outputs = _blend_values(probs_by_slot, live_values)  # slot order
-        head_outputs = rep_outputs[slot_of_cluster[assignment]]
+    if pt.prune_values:
+        head_outputs = _blend_values(probs_by_slot, live_values)[slot_of_head]
     else:
-        head_outputs = _blend_values(probs_by_slot[slot_of_cluster[assignment]], live_values)
+        head_outputs = _blend_values(probs_by_slot[slot_of_head], live_values)
     merged = head_outputs.reshape(1, num_heads * head_dim)
     return matmul(merged, layer_weights.wo)

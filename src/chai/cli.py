@@ -214,12 +214,12 @@ def cmd_calibrate(args) -> int:
 
 def _load_profile(path):
     from .engine import CalibrationProfile
-    from .errors import ValidationError
+    from .errors import ContractError, ValidationError
 
     path = _require_file(path, "profile file")
     try:
         return CalibrationProfile.load(path)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ContractError) as exc:
         raise ValidationError(f"profile file {path} is malformed: {exc}")
 
 
@@ -230,6 +230,8 @@ def cmd_generate(args) -> int:
     from .model import load_weights
 
     mode = parse_mode(args.mode)
+    if mode == "CHAI_STATIC" and args.trace is not None:
+        raise ValidationError("mode CHAI_STATIC records no trace to export; drop --trace")
     weights = load_weights(_require_file(args.weights, "weights file"))
     profile = None
     if mode != "MHA":
@@ -250,8 +252,6 @@ def cmd_generate(args) -> int:
     )
     _write_json(args.out, result.to_dict())
     if args.trace is not None:
-        if result.trace is None:
-            raise ValidationError(f"mode {mode} records no trace to export")
         export_trace_csv(result.trace, args.trace)
     print(f"wrote {args.out}")
     return 0

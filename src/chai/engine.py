@@ -2,13 +2,16 @@
 online membership identification, the static-assignment variant, the
 value-reuse variant, and offline calibration.
 
-Generation flow for the clustered modes: the prompt prefills with plain
-attention, the first `identify_at` decoded tokens also run plain attention
+Every mode prefills the prompt with plain causal attention (`mha_forward`)
+and runs every decode step through the one single-token kernel,
+`clustered_forward`, under precomputed `PlanTensors`. Plain multi-head
+decoding is the singleton plan (every head its own cluster). For the
+clustered modes the first `identify_at` decoded tokens run under that plan
 with tracing, then each layer's heads are clustered from those traced rows
 (k-means with the profile's per-layer cluster counts), the cache is pruned
-once, and every remaining step runs the clustered kernel with the plan
-frozen. The static variant skips identification and applies the profile's
-calibration-time assignment right after prefill.
+once, and the real plan's tensors replace the singleton's for every
+remaining step. The static variant skips identification and applies the
+profile's calibration-time assignment right after prefill.
 
 Decode steps are numbered from 1; step s feeds generated token s and attends
 over prompt_len + s cached positions.
@@ -125,22 +128,20 @@ def _forward_pass(
     token_ids,
     cache: KVCache,
     trace: AttentionTrace | None = None,
-    plan: ClusterPlan | None = None,
-    reuse_values: bool = False,
     plan_tensors: PlanTensors | None = None,
 ) -> np.ndarray:
-    """Run tokens through every block; returns the last position's logits."""
+    """Run tokens through every block; returns the last position's logits.
+    Without `plan_tensors` the rows prefill with causal attention; with them
+    a single token decodes under that plan."""
     config = weights.config
     ids = np.asarray(token_ids, dtype=np.intp)
     h = weights.token_embedding[ids]
     for layer, lw in enumerate(weights.layers):
         normed = rms_norm(h, lw.attn_norm_gain)
-        if plan is None:
+        if plan_tensors is None:
             attn = mha_forward(normed, lw, cache, layer, trace)
         else:
-            attn = clustered_forward(
-                normed, lw, cache, layer, plan, reuse_values, plan_tensors
-            )
+            attn = clustered_forward(normed, lw, cache, layer, plan_tensors, trace)
         h = h + attn
         normed = rms_norm(h, lw.mlp_norm_gain)
         gated = _silu(matmul(normed, lw.w_gate)) * matmul(normed, lw.w_up)
@@ -239,6 +240,12 @@ def _require_profile(config: ModelConfig, mode: str, profile: CalibrationProfile
         raise ValidationError(
             "calibration profile fingerprint does not match the model config"
         )
+    heads = [layer.num_heads for layer in profile.static_assignment.layers]
+    if heads != [config.num_heads] * config.num_layers:
+        raise ValidationError(
+            f"calibration profile plan covers {len(heads)} layers with {heads} heads; "
+            f"the model has {config.num_layers} layers of {config.num_heads} heads"
+        )
 
 
 def _identify_plan(
@@ -283,6 +290,9 @@ def generate(
     reuse_values = mode == "CHAI_QKV"
 
     cache = KVCache(config)
+    plan_tensors = PlanTensors(
+        ClusterPlan.singleton(config.num_layers, config.num_heads), weights.layers, config.head_dim
+    )
     plan: ClusterPlan | None = None
     plan_snapshot = None
     identified_at_step = None
@@ -299,7 +309,6 @@ def generate(
     prefill_ms = (time.perf_counter() - start) * 1000.0
     next_token = int(np.argmax(logits))
 
-    plan_tensors = None
     if mode == "CHAI_STATIC":
         ident_start = time.perf_counter()
         plan = profile.static_assignment
@@ -319,17 +328,13 @@ def generate(
 
     for step in range(1, steps + 1):
         tokens.append(next_token)
-        trace_this_step = trace is not None and (
-            mode == "MHA" or step <= identify_at or plan is None
-        )
         step_start = time.perf_counter()
+        # rows are traced only under the singleton plan (MHA, identification)
         logits = _forward_pass(
             weights,
             [next_token],
             cache,
-            trace=trace if trace_this_step else None,
-            plan=plan,
-            reuse_values=reuse_values and plan is not None,
+            trace=trace if plan is None else None,
             plan_tensors=plan_tensors,
         )
         next_token = int(np.argmax(logits))
@@ -338,12 +343,10 @@ def generate(
         if collect_logits:
             collected_logits.append(logits.copy())
         seq_len = len(prompt) + step
-        step_plan = plan
         per_step_kv_bytes.append(cache.measured_bytes(accounting.DEFAULT_CACHE_WIDTH_BYTES))
         per_step_attention_flops.append(
             accounting.attention_flops(
-                config, step_plan, seq_len, "decode",
-                reuse_values=reuse_values and step_plan is not None,
+                config, plan, seq_len, "decode", reuse_values=reuse_values
             ).total_flops
         )
         per_step_key_heads.append(
@@ -360,18 +363,16 @@ def generate(
             )
             plan_snapshot = plan.to_dict()
             cache = prune_cache(cache, plan, prune_values=reuse_values)
-            plan_tensors = PlanTensors(plan, weights.layers, config.head_dim)
+            plan_tensors = PlanTensors(
+                plan, weights.layers, config.head_dim, prune_values=reuse_values
+            )
             identification_ms = (time.perf_counter() - ident_start) * 1000.0
             identified_at_step = step
 
     final_len = len(prompt) + steps
-    memory_report = accounting.kv_cache_bytes(
-        config, plan, final_len,
-        prune_values=reuse_values and plan is not None,
-    )
+    memory_report = accounting.kv_cache_bytes(config, plan, final_len, prune_values=reuse_values)
     flop_report = accounting.attention_flops(
-        config, plan, final_len, "decode",
-        reuse_values=reuse_values and plan is not None,
+        config, plan, final_len, "decode", reuse_values=reuse_values
     )
     return GenerationResult(
         mode=mode,

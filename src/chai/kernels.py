@@ -101,22 +101,13 @@ def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return (x * inv).astype(DTYPE) * gain
 
 
-def apply_rope(x: Matrix, start_position: int) -> Matrix:
-    """Rotate consecutive dimension pairs of each row by position-dependent angles.
+def apply_rope_heads(x: np.ndarray, start_position: int) -> np.ndarray:
+    """Rotate consecutive dimension pairs of a (T, heads, head_dim) block.
 
-    Row i is taken to sit at absolute position start_position + i; pair p of
-    the last axis rotates by angle position * ROPE_BASE**(-2p / d). Applied to
+    Row i sits at absolute position start_position + i; pair p of every head
+    rotates by angle position * ROPE_BASE**(-2p / head_dim). Applied to
     queries and keys before caching, so cached keys never need re-rotation.
     """
-    x = np.asarray(x, dtype=DTYPE)
-    if x.ndim != 2:
-        raise ShapeError(f"apply_rope expects a (T, d) matrix, got shape {x.shape}")
-    return apply_rope_heads(x[:, None, :], start_position)[:, 0, :]
-
-
-def apply_rope_heads(x: np.ndarray, start_position: int) -> np.ndarray:
-    """apply_rope over a (T, heads, head_dim) block; the per-element arithmetic
-    is identical for every head, so results match the single-head kernel."""
     x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 3:
         raise ShapeError(f"expected a (T, heads, head_dim) block, got shape {x.shape}")

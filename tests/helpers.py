@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from chai.attention import _head_scale, _project_heads, _to_cache_layout
+from chai.attention import PlanTensors, _head_scale, _project_heads, _to_cache_layout
 from chai.engine import CalibrationProfile
 from chai.kernels import apply_rope_heads, matmul
 from chai.model import ModelConfig, Weights, init_random, make_redundant
@@ -116,6 +116,13 @@ def acceptance_corpus(config, samples=8, length=10, seed=123):
     return [rng.integers(0, config.vocab_size, size=length).tolist() for _ in range(samples)]
 
 
+def singleton_tensors(weights: Weights) -> PlanTensors:
+    """Plan tensors of the singleton plan: the engine's plain MHA decode."""
+    config = weights.config
+    plan = ClusterPlan.singleton(config.num_layers, config.num_heads)
+    return PlanTensors(plan, weights.layers, config.head_dim)
+
+
 def reference_softmax_rows(scores, causal_from=None):
     """Out-of-place row softmax as first written: mask with np.where, subtract
     the row max, exponentiate, divide by the row sum, then zero the masked
@@ -134,21 +141,21 @@ def reference_softmax_rows(scores, causal_from=None):
 
 
 def reference_mha_forward(x, layer_weights, cache, layer, trace=None):
-    """`attention.mha_forward` as first written: per-head prefill with the
-    out-of-place reference softmax on a fresh score matrix and per-head
-    outputs collected in a list and concatenated. The bit-identity oracle for
-    the in-place prefill path."""
+    """`attention.mha_forward` as first written: a batched single-token
+    branch, and per-head prefill with the out-of-place reference softmax on a
+    fresh score matrix and per-head outputs collected in a list and
+    concatenated. The bit-identity oracle for the in-place prefill path and,
+    through its single-token branch, for singleton-plan decoding."""
     config = cache.config
     num_heads, head_dim = config.num_heads, config.head_dim
     lc = cache.layers[layer]
     tokens = x.shape[0]
     start = lc.length
     scale = _head_scale(head_dim)
-    all_heads = list(range(num_heads))
 
-    queries = apply_rope_heads(_project_heads(x, layer_weights.wq, all_heads, head_dim), start)
-    new_keys = apply_rope_heads(_project_heads(x, layer_weights.wk, all_heads, head_dim), start)
-    new_values = _project_heads(x, layer_weights.wv, all_heads, head_dim)
+    queries = apply_rope_heads(_project_heads(x, layer_weights.wq, head_dim), start)
+    new_keys = apply_rope_heads(_project_heads(x, layer_weights.wk, head_dim), start)
+    new_values = _project_heads(x, layer_weights.wv, head_dim)
     lc.append(_to_cache_layout(new_keys), _to_cache_layout(new_values))
     live_keys = lc.live_keys()
     live_values = lc.live_values()

@@ -7,6 +7,7 @@ import chai.attention as attention_mod
 from chai.attention import (
     AttentionTrace,
     KVCache,
+    PlanTensors,
     clustered_forward,
     export_trace_csv,
     load_trace_csv,
@@ -16,7 +17,7 @@ from chai.attention import (
 from chai.errors import ContractError, InsufficientTraceError, ModeMismatchError
 from chai.model import ModelConfig, init_random, make_redundant
 from chai.plan import ClusterPlan, LayerPlan
-from helpers import grouped_plan, reference_mha_forward, small_weights
+from helpers import grouped_plan, reference_mha_forward, singleton_tensors, small_weights
 
 
 def decode_mha(weights, x_rows, trace=None):
@@ -173,22 +174,78 @@ class TestPrefillOracle:
                 assert got_trace._rows[key][step].tobytes() == row.tobytes()
 
 
+class TestDecodeOracle:
+    """The one decode kernel under the singleton plan against the reference
+    single-token MHA branch: the output, every cache plane and every trace row
+    must be byte-equal."""
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("prior", [0, 1, 9, 64, 130])
+    def test_singleton_decode_byte_equal_to_reference(self, prior, layer):
+        weights = small_weights(seed=22, max_seq_len=160)
+        lw = weights.layers[layer]
+        tensors = singleton_tensors(weights)
+        rng = np.random.default_rng(prior * 10 + layer)
+        prompt = rng.standard_normal((prior, 32)).astype(np.float32)
+        rows = rng.standard_normal((3, 32)).astype(np.float32)
+
+        def kernel(x, cache, trace):
+            return clustered_forward(x, lw, cache, layer, tensors, trace)
+
+        def reference(x, cache, trace):
+            return reference_mha_forward(x, lw, cache, layer, trace)
+
+        runs = []
+        for decode in (kernel, reference):
+            cache = KVCache(weights.config)
+            if prior:
+                reference_mha_forward(prompt, lw, cache, layer)
+            trace = AttentionTrace(2, 4)
+            outs = [decode(row[None, :], cache, trace) for row in rows]
+            runs.append((outs, cache.layers[layer], trace))
+        (got, got_cache, got_trace), (want, want_cache, want_trace) = runs
+
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float32 and g.shape == w.shape == (1, 32)
+            assert g.tobytes() == w.tobytes()
+        assert got_cache.length == want_cache.length == prior + 3
+        assert got_cache.keys.tobytes() == want_cache.keys.tobytes()
+        assert got_cache.values.tobytes() == want_cache.values.tobytes()
+        assert got_trace._rows.keys() == want_trace._rows.keys() == {
+            (layer, head) for head in range(4)
+        }
+        for key, steps in want_trace._rows.items():
+            assert sorted(got_trace._rows[key]) == sorted(steps) == [
+                prior + 1, prior + 2, prior + 3
+            ]
+            for step, row in steps.items():
+                assert got_trace._rows[key][step].tobytes() == row.tobytes()
+
+
 class TestClusteredForward:
     def _run_both(self, weights, plan, steps=6, reuse_values=False, seed=0):
-        """Decode the same random rows through plain MHA and through
-        MHA-then-clustered (pruning after the first step)."""
+        """Decode the same random rows through the reference plain MHA and
+        through the engine's decode path: the singleton plan for the first
+        step, then the pruned plan."""
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((steps, 32)).astype(np.float32) * 0.4
-        mha_outs, _ = decode_mha(weights, rows)
+        cache = KVCache(weights.config)
+        mha_outs = [
+            reference_mha_forward(row[None, :], weights.layers[0], cache, 0) for row in rows
+        ]
 
         cache = KVCache(weights.config)
-        clustered_outs = [mha_forward(rows[0][None, :], weights.layers[0], cache, 0)]
+        singleton = singleton_tensors(weights)
+        clustered_outs = [
+            clustered_forward(rows[0][None, :], weights.layers[0], cache, 0, singleton)
+        ]
         cache = prune_cache(cache, plan, prune_values=reuse_values)
+        tensors = PlanTensors(
+            plan, weights.layers, weights.config.head_dim, prune_values=reuse_values
+        )
         for row in rows[1:]:
             clustered_outs.append(
-                clustered_forward(
-                    row[None, :], weights.layers[0], cache, 0, plan, reuse_values
-                )
+                clustered_forward(row[None, :], weights.layers[0], cache, 0, tensors)
             )
         return mha_outs, clustered_outs
 
@@ -241,16 +298,26 @@ class TestClusteredForward:
         cache = KVCache(weights.config)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 32)).astype(np.float32)
-        mha_forward(x, weights.layers[0], cache, 0)
-        cache = prune_cache(cache, grouped_plan(2, 4, [2, 2]))
+        clustered_forward(x, weights.layers[0], cache, 0, singleton_tensors(weights))
+        plan = grouped_plan(2, 4, [2, 2])
+        cache = prune_cache(cache, plan)
         other_plan = ClusterPlan(
             layers=(
                 LayerPlan(assignment=(0, 1, 1, 1), representatives=(0, 1)),
                 LayerPlan(assignment=(0, 1, 1, 1), representatives=(0, 1)),
             )
         )
+        head_dim = weights.config.head_dim
         with pytest.raises(ContractError):
-            clustered_forward(x, weights.layers[0], cache, 0, other_plan)
+            clustered_forward(
+                x, weights.layers[0], cache, 0, PlanTensors(other_plan, weights.layers, head_dim)
+            )
+        # same representatives, but the tensors expect pruned values
+        with pytest.raises(ContractError, match="value heads"):
+            clustered_forward(
+                x, weights.layers[0], cache, 0,
+                PlanTensors(plan, weights.layers, head_dim, prune_values=True),
+            )
 
 
 class TestPruneCache:

@@ -330,9 +330,20 @@ class TestAnalyze:
 
 
 class TestExitCodes:
-    def test_internally_inconsistent_profile_is_runtime_failure(self, tmp_path):
+    def _run_generate(self, tmp_path, wpath, profile: dict, mode="CHAI_STATIC"):
+        ppath = tmp_path / "bad_profile.json"
+        ppath.write_text(json.dumps(profile))
+        prompt_path = tmp_path / "prompt.bin"
+        np.array([1, 2], dtype="<i4").tofile(prompt_path)
+        return main([
+            "generate", "--weights", str(wpath), "--mode", mode,
+            "--profile", str(ppath), "--prompt", str(prompt_path),
+            "--steps", "8", "--out", str(tmp_path / "r.json"),
+        ])
+
+    def test_profile_for_other_head_count_is_usage_error(self, tmp_path, capsys):
         # A well-formed profile whose plan covers the wrong head count passes
-        # loading and the fingerprint check, then breaks a contract at pruning.
+        # loading and the fingerprint check; it is rejected before decoding.
         wpath, weights = write_small_model(tmp_path)
         bad = {
             "fingerprint": weights.config.fingerprint(),
@@ -349,16 +360,50 @@ class TestExitCodes:
                 ]
             },
         }
-        ppath = tmp_path / "bad_profile.json"
-        ppath.write_text(json.dumps(bad))
+        code = self._run_generate(tmp_path, wpath, bad)
+        assert code == 2
+        assert "heads" in capsys.readouterr().err
+
+    def test_profile_covering_fewer_layers_is_usage_error(self, tmp_path, capsys):
+        wpath, ppath, *_ = write_fixture_model(tmp_path)
+        profile = read_json(ppath)
+        for key in ("cluster_counts", "elbow_curves"):
+            profile[key] = profile[key][:1]
+        profile["static_assignment"]["layers"] = profile["static_assignment"]["layers"][:1]
+        for mode in ("CHAI", "CHAI_STATIC"):
+            assert self._run_generate(tmp_path, wpath, profile, mode) == 2
+            assert "1 layers" in capsys.readouterr().err
+            assert not (tmp_path / "r.json").exists()
+
+    def test_representative_out_of_range_is_usage_error(self, tmp_path, capsys):
+        wpath, ppath, *_ = write_fixture_model(tmp_path)
+        profile = read_json(ppath)
+        profile["static_assignment"]["layers"][0]["representatives"][0] = 99
+        assert self._run_generate(tmp_path, wpath, profile, "CHAI") == 2
+        assert "representative 99" in capsys.readouterr().err
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text("layer,head,step,position,probability\n0,0,1,0,1.0\n")
+        code = main([
+            "analyze", "--trace", str(trace_path), "--what", "histogram",
+            "--profile", str(tmp_path / "bad_profile.json"), "--out", str(tmp_path / "a"),
+        ])
+        assert code == 2
+        assert "representative 99" in capsys.readouterr().err
+
+    def test_static_mode_trace_rejected_before_generating(self, tmp_path, capsys):
+        wpath, ppath, *_ = write_fixture_model(tmp_path)
         prompt_path = tmp_path / "prompt.bin"
         np.array([1, 2], dtype="<i4").tofile(prompt_path)
+        out = tmp_path / "r.json"
         code = main([
             "generate", "--weights", str(wpath), "--mode", "CHAI_STATIC",
-            "--profile", str(ppath), "--prompt", str(prompt_path),
-            "--steps", "4", "--out", str(tmp_path / "r.json"),
+            "--profile", str(ppath), "--prompt", str(prompt_path), "--steps", "8",
+            "--trace", str(tmp_path / "trace.csv"), "--out", str(out),
         ])
-        assert code == 1
+        assert code == 2
+        assert "--trace" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "trace.csv").exists()
 
 
 class TestCompare:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import chai.attention as attention_mod
+import chai.engine as engine_mod
 from chai.accounting import kv_cache_bytes
 from chai.attention import KVCache
 from chai.engine import (
+    MODES,
     CalibrationProfile,
     calibrate,
     compare_outputs,
@@ -12,6 +15,7 @@ from chai.engine import (
     prefill,
 )
 from chai.errors import ValidationError
+from chai.plan import ClusterPlan
 from helpers import (
     degenerate_profile,
     fixture_profile,
@@ -82,6 +86,18 @@ class TestGenerateChai:
         other = degenerate_profile(small_config(vocab_size=33))
         with pytest.raises(ValidationError, match="fingerprint"):
             generate(weights, [1, 2], 8, "CHAI", profile=other)
+
+    def test_profile_plan_shape_mismatch_rejected(self):
+        weights = small_weights()
+        profile = degenerate_profile(weights.config)
+        one_layer = ClusterPlan(layers=profile.static_assignment.layers[:1])
+        two_heads = ClusterPlan.singleton(2, 2)
+        for plan in (one_layer, two_heads):
+            profile.static_assignment = plan
+            profile.cluster_counts = plan.cluster_counts()
+            for mode in ("CHAI", "CHAI_STATIC"):
+                with pytest.raises(ValidationError, match="layers"):
+                    generate(weights, [1, 2], 8, mode, profile=profile)
 
     def test_degenerate_profile_matches_mha_tokens(self):
         weights = small_weights(seed=4)
@@ -203,6 +219,52 @@ class TestGenerateStaticAndQkv:
             weights, prompt, 12, "CHAI_QKV", profile=degenerate_profile(weights.config)
         )
         assert plain.tokens == reused.tokens
+
+
+class TestDecodeGathers:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_head_columns_called_only_while_building_plan_tensors(self, mode, monkeypatch):
+        weights, plan = redundant_fixture([2, 3], seed=6)
+        profile = fixture_profile(weights, plan)
+        phase = []  # innermost of "build" (PlanTensors) and "step" (_forward_pass)
+        calls = []
+        builds = []
+
+        def within(name, fn):
+            def wrapped(*args, **kwargs):
+                phase.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase.pop()
+            return wrapped
+
+        def spy_columns(*args, **kwargs):
+            calls.append(phase[-1] if phase else None)
+            return real_columns(*args, **kwargs)
+
+        def spy_tensors(*args, **kwargs):
+            builds.append(args[0])
+            return real_tensors(*args, **kwargs)
+
+        real_columns = attention_mod.head_columns
+        real_tensors = within("build", engine_mod.PlanTensors)
+        monkeypatch.setattr(attention_mod, "head_columns", spy_columns)
+        monkeypatch.setattr(engine_mod, "PlanTensors", spy_tensors)
+        monkeypatch.setattr(
+            engine_mod, "_forward_pass", within("step", engine_mod._forward_pass)
+        )
+        result = generate(
+            weights, random_prompt(weights.config, 6), 12, mode,
+            profile=None if mode == "MHA" else profile,
+        )
+        # wq, wk and wv columns once per layer per plan, never during a step
+        assert calls == ["build"] * 3 * weights.config.num_layers * len(builds)
+        assert builds[0] == ClusterPlan.singleton(2, 4)
+        if mode == "MHA":
+            assert len(builds) == 1 and result.plan is None
+        else:
+            assert len(builds) == 2 and builds[1] == result.plan
 
 
 class TestFlopOrdering:

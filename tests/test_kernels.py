@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chai.errors import ConfigError, ContractError, ShapeError
-from chai.kernels import apply_rope, matmul, rms_norm, softmax_rows
+from chai.kernels import apply_rope_heads, matmul, rms_norm, softmax_rows
 from helpers import reference_softmax_rows
 
 
@@ -220,33 +220,35 @@ class TestRmsNorm:
 
 
 class TestApplyRope:
+    """apply_rope_heads on (T, 1, d) blocks: one head, rows at successive positions."""
+
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((1, 8)).astype(np.float32)
-        np.testing.assert_allclose(apply_rope(x, 0)[0], x[0], atol=1e-7)
+        x = rng.standard_normal((1, 1, 8)).astype(np.float32)
+        np.testing.assert_allclose(apply_rope_heads(x, 0)[0, 0], x[0, 0], atol=1e-7)
 
     def test_pairwise_norm_preserved(self):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((6, 10)).astype(np.float32)
-        out = apply_rope(x, 17)
+        x = rng.standard_normal((6, 1, 10)).astype(np.float32)
+        out = apply_rope_heads(x, 17)
         for p in range(5):
-            before = np.hypot(x[:, 2 * p], x[:, 2 * p + 1])
-            after = np.hypot(out[:, 2 * p], out[:, 2 * p + 1])
+            before = np.hypot(x[:, 0, 2 * p], x[:, 0, 2 * p + 1])
+            after = np.hypot(out[:, 0, 2 * p], out[:, 0, 2 * p + 1])
             np.testing.assert_allclose(after, before, atol=1e-6)
 
     def test_unit_vector_at_position_one(self):
-        x = np.array([[1.0, 0.0]], dtype=np.float32)
-        out = apply_rope(x, 1)
-        np.testing.assert_allclose(out[0], [math.cos(1.0), math.sin(1.0)], atol=1e-6)
+        x = np.array([[[1.0, 0.0]]], dtype=np.float32)
+        out = apply_rope_heads(x, 1)
+        np.testing.assert_allclose(out[0, 0], [math.cos(1.0), math.sin(1.0)], atol=1e-6)
 
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ConfigError):
-            apply_rope(np.zeros((2, 3), dtype=np.float32), 0)
+            apply_rope_heads(np.zeros((2, 1, 3), dtype=np.float32), 0)
 
     def test_rows_advance_positions(self):
         # Two stacked rows must equal two single-row calls at successive positions.
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 6)).astype(np.float32)
-        both = apply_rope(x, 5)
-        np.testing.assert_array_equal(both[0], apply_rope(x[:1], 5)[0])
-        np.testing.assert_array_equal(both[1], apply_rope(x[1:], 6)[0])
+        x = rng.standard_normal((2, 1, 6)).astype(np.float32)
+        both = apply_rope_heads(x, 5)
+        np.testing.assert_array_equal(both[0], apply_rope_heads(x[:1], 5)[0])
+        np.testing.assert_array_equal(both[1], apply_rope_heads(x[1:], 6)[0])
