@@ -22,9 +22,11 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, InsufficientTraceError, ModeMismatchError, ShapeError
+from .errors import (
+    ContractError, InsufficientTraceError, ModeMismatchError, ShapeError, ValidationError
+)
 from .kernels import apply_rope_heads, matmul, softmax_rows
-from .model import LayerWeights, ModelConfig
+from .model import LayerWeights, ModelConfig, head_columns
 from .plan import ClusterPlan
 
 
@@ -80,14 +82,6 @@ class KVCache:
     @property
     def length(self) -> int:
         return self.layers[0].length
-
-    def measured_bytes(self, element_width_bytes: int = 2) -> int:
-        """Bytes of live storage, counting actual stored vectors only."""
-        total_vectors = sum(
-            lc.length * (len(lc.stored_key_heads) + len(lc.stored_value_heads))
-            for lc in self.layers
-        )
-        return total_vectors * self.config.head_dim * element_width_bytes
 
     def summary(self) -> dict:
         return {
@@ -175,11 +169,14 @@ class AttentionTrace:
         return max((max(steps) for steps in self._rows.values() if steps), default=0)
 
 
+TRACE_COLUMNS = ("layer", "head", "step", "position", "probability")
+
+
 def export_trace_csv(trace: AttentionTrace, path) -> None:
     """Write rows as (layer, head, step, position, probability), RFC-4180."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["layer", "head", "step", "position", "probability"])
+        writer.writerow(TRACE_COLUMNS)
         for layer in range(trace.num_layers):
             for head in range(trace.num_heads):
                 for step in trace.steps(layer, head):
@@ -189,24 +186,33 @@ def export_trace_csv(trace: AttentionTrace, path) -> None:
 
 
 def load_trace_csv(path) -> AttentionTrace:
+    """Read a trace CSV written by `export_trace_csv`; a missing column, a
+    non-numeric field or a row whose positions are not 0..n-1 raises ValidationError."""
     rows: dict[tuple[int, int, int], list[tuple[int, float]]] = {}
     max_layer = -1
     max_head = -1
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in TRACE_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValidationError(f"trace {path} has no {', '.join(missing)} column")
         for record in reader:
-            layer = int(record["layer"])
-            head = int(record["head"])
-            step = int(record["step"])
-            position = int(record["position"])
-            rows.setdefault((layer, head, step), []).append(
-                (position, float(record["probability"]))
-            )
+            try:
+                layer, head, step, position = (int(record[c]) for c in TRACE_COLUMNS[:4])
+                probability = float(record["probability"])
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"trace {path} line {reader.line_num}: {exc}") from None
+            rows.setdefault((layer, head, step), []).append((position, probability))
             max_layer = max(max_layer, layer)
             max_head = max(max_head, head)
     trace = AttentionTrace(max_layer + 1, max_head + 1)
     for (layer, head, step), entries in rows.items():
         entries.sort()
+        if [position for position, _ in entries] != list(range(len(entries))):
+            raise ValidationError(
+                f"trace {path}: positions of layer {layer}, head {head}, step {step} "
+                f"are not 0..{len(entries) - 1}"
+            )
         row = np.array([prob for _, prob in entries], dtype=np.float32)
         trace._rows.setdefault((layer, head), {})[step] = row
     return trace
@@ -215,15 +221,6 @@ def load_trace_csv(path) -> AttentionTrace:
 def _head_scale(head_dim: int) -> np.float32:
     # Scores scale by the per-head dimension, not the model dimension.
     return np.float32(1.0 / math.sqrt(head_dim))
-
-
-def head_columns(w: np.ndarray, heads, head_dim: int) -> np.ndarray:
-    """Column submatrix of `w` covering the given heads' blocks, in the order
-    given. Returns `w` itself when the selection is all heads in order."""
-    if list(heads) == list(range(w.shape[1] // head_dim)):
-        return w
-    cols = np.concatenate([np.arange(h * head_dim, (h + 1) * head_dim) for h in heads])
-    return np.ascontiguousarray(w[:, cols])
 
 
 def _project_heads(x: np.ndarray, columns: np.ndarray, head_dim: int) -> np.ndarray:

@@ -391,10 +391,12 @@ def cmd_analyze(args) -> int:
         print(f"wrote {path}")
         return 0
 
+    if args.profile is None:
+        raise ValidationError(f"--what {args.what} requires --profile")
+    profile = _load_profile(args.profile)
+    profile.require_shape(trace.num_layers, trace.num_heads, "trace")
+
     if args.what == "stability":
-        if args.profile is None:
-            raise ValidationError("--what stability requires --profile")
-        profile = _load_profile(args.profile)
         from_step = args.from_step if args.from_step is not None else profile.window
         to_step = args.to_step if args.to_step is not None else trace.max_step()
         steps, counts = membership_stability(trace, profile, from_step, to_step)
@@ -409,9 +411,6 @@ def cmd_analyze(args) -> int:
         return 0
 
     # histogram
-    if args.profile is None:
-        raise ValidationError("--what histogram requires --profile")
-    profile = _load_profile(args.profile)
     plan = profile.static_assignment
     payload = {
         str(layer): cluster_size_histogram(plan, layer) for layer in range(plan.num_layers)

@@ -254,9 +254,9 @@ def correlation_matrix(vectors) -> np.ndarray:
     return corr
 
 
-def stability_seed(base_seed: int, layer: int, step: int) -> int:
-    """Deterministic k-means seed for a (layer, step) re-clustering."""
-    return int(np.random.SeedSequence((base_seed, layer, step)).generate_state(1)[0])
+def derived_seed(*parts: int) -> int:
+    """Deterministic k-means seed from a base seed and one clustering's indices."""
+    return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
 def membership_stability(trace: AttentionTrace, profile, from_step: int, to_step: int):
@@ -282,7 +282,7 @@ def membership_stability(trace: AttentionTrace, profile, from_step: int, to_step
         k = profile.cluster_counts[layer]
         for step in range(first_needed, to_step + 1):
             features = extract_features(trace, layer, (step - window + 1, step))
-            result = kmeans(features, k, seed=stability_seed(profile.seed, layer, step))
+            result = kmeans(features, k, seed=derived_seed(profile.seed, layer, step))
             assignment = result.assignment.tolist()
             canonical = {c: min(h for h, a in enumerate(assignment) if a == c)
                          for c in set(assignment)}

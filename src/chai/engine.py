@@ -13,6 +13,10 @@ once, and the real plan's tensors replace the singleton's for every
 remaining step. The static variant skips identification and applies the
 profile's calibration-time assignment right after prefill.
 
+The decode loop only decodes: per-step bytes, FLOPs and head counts are
+computed after it, once per plan epoch (the steps before and after the plan
+freezes), from that epoch's cache layout and the closed forms in `accounting`.
+
 Decode steps are numbered from 1; step s feeds generated token s and attends
 over prompt_len + s cached positions.
 """
@@ -36,6 +40,7 @@ from .attention import (
 )
 from .clustering import (
     choose_representatives,
+    derived_seed,
     elbow_select,
     extract_features,
     kmeans,
@@ -57,10 +62,6 @@ def parse_mode(mode: str) -> str:
     return name
 
 
-def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
-
-
 @dataclass
 class CalibrationProfile:
     """Offline per-layer cluster counts plus a corpus-level static assignment."""
@@ -80,6 +81,15 @@ class CalibrationProfile:
             raise ValidationError(
                 f"static assignment cluster counts {static_counts} disagree "
                 f"with chosen counts {list(self.cluster_counts)}"
+            )
+
+    def require_shape(self, num_layers: int, num_heads: int, owner: str) -> None:
+        """Reject a static assignment not shaped for the `owner` model or trace."""
+        heads = [layer.num_heads for layer in self.static_assignment.layers]
+        if heads != [num_heads] * num_layers:
+            raise ValidationError(
+                f"calibration profile plan covers {len(heads)} layers with {heads} heads; "
+                f"the {owner} has {num_layers} layers of {num_heads} heads"
             )
 
     def to_dict(self) -> dict:
@@ -177,9 +187,7 @@ class GenerationResult:
     prompt_length: int
     tokens: list[int]
     identify_at: int
-    identification_skipped: bool
     plan: ClusterPlan | None
-    plan_at_identification: dict | None
     prefill_ms: float
     step_ms: list[float]
     identification_ms: float
@@ -198,15 +206,14 @@ class GenerationResult:
     def ttft_ms(self) -> float:
         return self.prefill_ms + self.step_ms[0]
 
-    def steady_step_ms(self) -> list[float]:
-        """Per-step latencies after the plan took effect (all steps for MHA);
-        identification overhead is kept out of step timings by construction."""
-        if self.plan is None or self.identified_at_step is None:
-            return list(self.step_ms)
-        return list(self.step_ms[self.identified_at_step :])
+    @property
+    def identification_skipped(self) -> bool:
+        """A clustered mode decoded too few steps to reach identification."""
+        return self.mode in ("CHAI", "CHAI_QKV") and self.identified_at_step is None
 
     def to_dict(self) -> dict:
         """Deterministic payload; wall-clock measurements live under 'timing'."""
+        plan = self.plan.to_dict() if self.plan is not None else None
         return {
             "mode": self.mode,
             "prompt_length": self.prompt_length,
@@ -215,8 +222,8 @@ class GenerationResult:
             "identify_at": self.identify_at,
             "identification_skipped": self.identification_skipped,
             "identified_at_step": self.identified_at_step,
-            "plan": self.plan.to_dict() if self.plan is not None else None,
-            "plan_at_identification": self.plan_at_identification,
+            "plan": plan,
+            "plan_at_identification": plan,  # a frozen plan never changes
             "per_step_kv_bytes": list(self.per_step_kv_bytes),
             "per_step_attention_flops": list(self.per_step_attention_flops),
             "per_step_key_head_counts": [list(c) for c in self.per_step_key_head_counts],
@@ -240,32 +247,43 @@ def _require_profile(config: ModelConfig, mode: str, profile: CalibrationProfile
         raise ValidationError(
             "calibration profile fingerprint does not match the model config"
         )
-    heads = [layer.num_heads for layer in profile.static_assignment.layers]
-    if heads != [config.num_heads] * config.num_layers:
-        raise ValidationError(
-            f"calibration profile plan covers {len(heads)} layers with {heads} heads; "
-            f"the model has {config.num_layers} layers of {config.num_heads} heads"
-        )
+    profile.require_shape(config.num_layers, config.num_heads, "model")
 
 
-def _identify_plan(
-    trace: AttentionTrace,
-    cluster_counts,
-    window: tuple[int, int],
-    seed: int,
-) -> ClusterPlan:
+def _cluster_plan(layer_features, cluster_counts, seeds) -> ClusterPlan:
+    """k-means each layer's (H, F) head features into that layer's cluster
+    count; each cluster's representative is its member nearest the centroid."""
     layers = []
-    for layer in range(trace.num_layers):
-        features = extract_features(trace, layer, window)
-        result = kmeans(features, cluster_counts[layer], seed=_derived_seed(seed, layer))
+    for features, k, layer_seed in zip(layer_features, cluster_counts, seeds):
+        result = kmeans(features, k, seed=layer_seed)
         reps = choose_representatives(features, result.assignment, result.centroids)
-        layers.append(
-            LayerPlan(
-                assignment=tuple(int(c) for c in result.assignment),
-                representatives=tuple(reps),
-            )
-        )
+        assignment = tuple(int(c) for c in result.assignment)
+        layers.append(LayerPlan(assignment=assignment, representatives=tuple(reps)))
     return ClusterPlan(layers=tuple(layers))
+
+
+def _epoch_series(
+    config: ModelConfig, layout: dict, plan: ClusterPlan | None, reuse_values: bool,
+    seq_lens: range,
+):
+    """Per-step KV bytes, attention FLOPs and per-layer stored key and value
+    head counts of the decode steps at `seq_lens`, all run under `plan` (None:
+    singleton) over one cache whose `summary()` is `layout`. FLOPs are affine
+    in seq_len under a fixed plan, so two closed-form evaluations give them all."""
+    key_heads = [len(layer["stored_key_heads"]) for layer in layout["layers"]]
+    value_heads = [len(layer["stored_value_heads"]) for layer in layout["layers"]]
+    vector_bytes = config.head_dim * accounting.DEFAULT_CACHE_WIDTH_BYTES
+    flops = [
+        accounting.attention_flops(config, plan, n, reuse_values=reuse_values).total_flops
+        for n in seq_lens[:2]
+    ]
+    slope = flops[1] - flops[0] if len(flops) == 2 else 0
+    return (
+        [(sum(key_heads) + sum(value_heads)) * n * vector_bytes for n in seq_lens],
+        [flops[0] + slope * i for i in range(len(seq_lens))],
+        [list(key_heads) for _ in seq_lens],
+        [list(value_heads) for _ in seq_lens],
+    )
 
 
 def generate(
@@ -290,15 +308,14 @@ def generate(
     reuse_values = mode == "CHAI_QKV"
 
     cache = KVCache(config)
+    unpruned = cache.summary()  # the head layout until the plan freezes
     plan_tensors = PlanTensors(
         ClusterPlan.singleton(config.num_layers, config.num_heads), weights.layers, config.head_dim
     )
     plan: ClusterPlan | None = None
-    plan_snapshot = None
     identified_at_step = None
     identification_ms = 0.0
     will_identify = mode in ("CHAI", "CHAI_QKV") and steps > identify_at
-    identification_skipped = mode in ("CHAI", "CHAI_QKV") and not will_identify
 
     trace = None
     if will_identify or (collect_trace and mode != "CHAI_STATIC"):
@@ -312,7 +329,6 @@ def generate(
     if mode == "CHAI_STATIC":
         ident_start = time.perf_counter()
         plan = profile.static_assignment
-        plan_snapshot = plan.to_dict()
         cache = prune_cache(cache, plan)
         plan_tensors = PlanTensors(plan, weights.layers, config.head_dim)
         identification_ms = (time.perf_counter() - ident_start) * 1000.0
@@ -320,10 +336,6 @@ def generate(
 
     tokens: list[int] = []
     step_ms: list[float] = []
-    per_step_kv_bytes: list[int] = []
-    per_step_attention_flops: list[int] = []
-    per_step_key_heads: list[list[int]] = []
-    per_step_value_heads: list[list[int]] = []
     collected_logits: list[np.ndarray] = []
 
     for step in range(1, steps + 1):
@@ -342,26 +354,15 @@ def generate(
 
         if collect_logits:
             collected_logits.append(logits.copy())
-        seq_len = len(prompt) + step
-        per_step_kv_bytes.append(cache.measured_bytes(accounting.DEFAULT_CACHE_WIDTH_BYTES))
-        per_step_attention_flops.append(
-            accounting.attention_flops(
-                config, plan, seq_len, "decode", reuse_values=reuse_values
-            ).total_flops
-        )
-        per_step_key_heads.append(
-            [len(lc.stored_key_heads) for lc in cache.layers]
-        )
-        per_step_value_heads.append(
-            [len(lc.stored_value_heads) for lc in cache.layers]
-        )
 
         if will_identify and step == identify_at:
             ident_start = time.perf_counter()
-            plan = _identify_plan(
-                trace, profile.cluster_counts, (1, identify_at), _derived_seed(seed)
+            layers = range(config.num_layers)
+            plan = _cluster_plan(
+                [extract_features(trace, layer, (1, identify_at)) for layer in layers],
+                profile.cluster_counts,
+                [derived_seed(derived_seed(seed), layer) for layer in layers],
             )
-            plan_snapshot = plan.to_dict()
             cache = prune_cache(cache, plan, prune_values=reuse_values)
             plan_tensors = PlanTensors(
                 plan, weights.layers, config.head_dim, prune_values=reuse_values
@@ -369,19 +370,27 @@ def generate(
             identification_ms = (time.perf_counter() - ident_start) * 1000.0
             identified_at_step = step
 
-    final_len = len(prompt) + steps
-    memory_report = accounting.kv_cache_bytes(config, plan, final_len, prune_values=reuse_values)
+    # steps 1..split ran under the singleton plan over the unpruned cache
+    split = steps if identified_at_step is None else identified_at_step
+    seq_lens = range(len(prompt) + 1, len(prompt) + steps + 1)
+    final = cache.summary()
+    per_step_kv_bytes, per_step_attention_flops, per_step_key_heads, per_step_value_heads = (
+        before + after
+        for before, after in zip(
+            _epoch_series(config, unpruned, None, reuse_values, seq_lens[:split]),
+            _epoch_series(config, final, plan, reuse_values, seq_lens[split:]),
+        )
+    )
+    memory_report = accounting.kv_cache_bytes(config, plan, seq_lens[-1], prune_values=reuse_values)
     flop_report = accounting.attention_flops(
-        config, plan, final_len, "decode", reuse_values=reuse_values
+        config, plan, seq_lens[-1], "decode", reuse_values=reuse_values
     )
     return GenerationResult(
         mode=mode,
         prompt_length=len(prompt),
         tokens=tokens,
         identify_at=identify_at,
-        identification_skipped=identification_skipped,
         plan=plan,
-        plan_at_identification=plan_snapshot,
         prefill_ms=prefill_ms,
         step_ms=step_ms,
         identification_ms=identification_ms,
@@ -389,7 +398,7 @@ def generate(
         per_step_attention_flops=per_step_attention_flops,
         per_step_key_head_counts=per_step_key_heads,
         per_step_value_head_counts=per_step_value_heads,
-        kv_cache_summary=cache.summary(),
+        kv_cache_summary=final,
         memory_report=memory_report,
         flop_report=flop_report,
         trace=trace if collect_trace else None,
@@ -450,43 +459,33 @@ def calibrate(
             raise ValidationError(f"corpus sample {index} has token ids out of range")
         samples.append(sample[:window])
 
-    num_layers, num_heads = config.num_layers, config.num_heads
+    layers, num_heads = range(config.num_layers), config.num_heads
     feature_sets = []  # per sample: list of (H, F) arrays per layer
     for sample in samples:
         trace = _traced_prefix(weights, sample)
         feature_sets.append(
-            [extract_features(trace, layer, (1, window)) for layer in range(num_layers)]
+            [extract_features(trace, layer, (1, window)) for layer in layers]
         )
 
     cluster_counts = []
     elbow_curves = []
-    static_layers = []
-    for layer in range(num_layers):
+    for layer in layers:
         curves = [
             sse_curve(
                 feature_sets[i][layer], k_max=num_heads,
-                seed=_derived_seed(seed, i, layer),
+                seed=derived_seed(seed, i, layer),
             )
             for i in range(len(samples))
         ]
         mean_curve = np.mean(np.stack(curves), axis=0)
-        chosen_k = elbow_select(mean_curve, threshold)
-        cluster_counts.append(chosen_k)
+        cluster_counts.append(elbow_select(mean_curve, threshold))
         elbow_curves.append([float(e) for e in mean_curve])
 
-        mean_features = np.mean(
-            np.stack([feature_sets[i][layer] for i in range(len(samples))]), axis=0
-        )
-        result = kmeans(
-            mean_features, chosen_k, seed=_derived_seed(seed, len(samples), layer)
-        )
-        reps = choose_representatives(mean_features, result.assignment, result.centroids)
-        static_layers.append(
-            LayerPlan(
-                assignment=tuple(int(c) for c in result.assignment),
-                representatives=tuple(reps),
-            )
-        )
+    static_assignment = _cluster_plan(
+        [np.mean(np.stack([fs[layer] for fs in feature_sets]), axis=0) for layer in layers],
+        cluster_counts,
+        [derived_seed(seed, len(samples), layer) for layer in layers],
+    )
 
     return CalibrationProfile(
         fingerprint=config.fingerprint(),
@@ -496,7 +495,7 @@ def calibrate(
         seed=seed,
         cluster_counts=cluster_counts,
         elbow_curves=elbow_curves,
-        static_assignment=ClusterPlan(layers=tuple(static_layers)),
+        static_assignment=static_assignment,
     )
 
 

@@ -103,9 +103,19 @@ class Weights:
     output_projection: np.ndarray  # (d, vocab)
 
 
-def head_block(w: np.ndarray, head: int, head_dim: int) -> np.ndarray:
-    """View of one head's column block of a (d, d) projection matrix."""
-    return w[:, head * head_dim : (head + 1) * head_dim]
+def head_columns(w: np.ndarray, heads, head_dim: int) -> np.ndarray:
+    """Column submatrix of `w` covering the given heads' blocks, in the order
+    given. Returns `w` itself when the selection is all heads in order."""
+    if list(heads) == list(range(w.shape[1] // head_dim)):
+        return w
+    cols = np.concatenate([np.arange(h * head_dim, (h + 1) * head_dim) for h in heads])
+    return np.ascontiguousarray(w[:, cols])
+
+
+def _fresh_columns(w: np.ndarray, heads, head_dim: int) -> np.ndarray:
+    """`head_columns` that never returns `w` itself."""
+    columns = head_columns(w, heads, head_dim)
+    return w.copy() if columns is w else columns
 
 
 class _SplitMix64Stream:
@@ -179,21 +189,13 @@ def make_redundant(weights: Weights, plan: ClusterPlan) -> Weights:
             raise ContractError(
                 f"plan has {layer_plan.num_heads} heads, model has {config.num_heads}"
             )
-        wq = layer_weights.wq.copy()
-        wk = layer_weights.wk.copy()
-        for head, cluster in enumerate(layer_plan.assignment):
-            rep = layer_plan.representatives[cluster]
-            head_block(wq, head, config.head_dim)[:] = head_block(
-                layer_weights.wq, rep, config.head_dim
-            )
-            head_block(wk, head, config.head_dim)[:] = head_block(
-                layer_weights.wk, rep, config.head_dim
-            )
+        # head h takes its cluster representative's block
+        source = [layer_plan.representatives[c] for c in layer_plan.assignment]
         out_layers.append(
             LayerWeights(
                 attn_norm_gain=layer_weights.attn_norm_gain.copy(),
-                wq=wq,
-                wk=wk,
+                wq=_fresh_columns(layer_weights.wq, source, config.head_dim),
+                wk=_fresh_columns(layer_weights.wk, source, config.head_dim),
                 wv=layer_weights.wv.copy(),
                 wo=layer_weights.wo.copy(),
                 mlp_norm_gain=layer_weights.mlp_norm_gain.copy(),

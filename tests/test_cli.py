@@ -317,6 +317,51 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "correlation" in err and "histogram" in err
 
+    @pytest.mark.parametrize(
+        "what, written", [("histogram", "histogram.json"), ("stability", "stability.csv")]
+    )
+    def test_profile_for_other_layer_count_than_trace_is_usage_error(
+        self, tmp_path, capsys, what, written
+    ):
+        trace_path, ppath = self._trace_from_fixture(tmp_path)
+        profile = read_json(ppath)
+        for key in ("cluster_counts", "elbow_curves"):
+            profile[key] = profile[key][:1]
+        profile["static_assignment"]["layers"] = profile["static_assignment"]["layers"][:1]
+        ppath.write_text(json.dumps(profile))
+        assert main([
+            "analyze", "--trace", str(trace_path), "--what", what,
+            "--profile", str(ppath), "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert "the trace has 2 layers of 4 heads" in capsys.readouterr().err
+        assert not (tmp_path / "out" / written).exists()
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("no_position_column", "no position column"),
+            ("non_numeric_probability", "'abc'"),
+            ("missing_position", "layer 0, head 0, step 2 are not 0..3"),
+        ],
+        ids=["no_position_column", "non_numeric_probability", "missing_position"],
+    )
+    def test_malformed_trace_is_usage_error(self, tmp_path, capsys, defect, message):
+        trace_path, _ = self._trace_from_fixture(tmp_path)
+        lines = trace_path.read_text().splitlines()
+        if defect == "no_position_column":
+            lines = [",".join(line.split(",")[:3] + line.split(",")[4:]) for line in lines]
+        elif defect == "non_numeric_probability":
+            lines[1] = lines[1].rsplit(",", 1)[0] + ",abc"
+        else:
+            lines = [line for line in lines if not line.startswith("0,0,2,1,")]
+        trace_path.write_text("\n".join(lines) + "\n")
+        for what in ("correlation", "elbow"):
+            assert main([
+                "analyze", "--trace", str(trace_path), "--what", what,
+                "--out", str(tmp_path / "out"),
+            ]) == 2
+            assert message in capsys.readouterr().err
+
     def test_stability_idempotent(self, tmp_path):
         trace_path, ppath = self._trace_from_fixture(tmp_path)
         outputs = []

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import chai.accounting as accounting_mod
 import chai.attention as attention_mod
 import chai.engine as engine_mod
-from chai.accounting import kv_cache_bytes
+from chai.accounting import attention_flops, kv_cache_bytes
 from chai.attention import KVCache
 from chai.engine import (
     MODES,
@@ -146,7 +147,8 @@ class TestGenerateChai:
             weights, [1, 2], 12, "CHAI", profile=fixture_profile(weights, plan)
         )
         assert result.plan is not None
-        assert result.plan_at_identification == result.plan.to_dict()
+        payload = result.to_dict()
+        assert payload["plan_at_identification"] == payload["plan"] == result.plan.to_dict()
 
     def test_short_run_skips_identification(self):
         weights, plan = redundant_fixture([2, 2], seed=8)
@@ -167,16 +169,61 @@ class TestGenerateChai:
         assert a.tokens == b.tokens
         assert a.plan.to_dict() == b.plan.to_dict()
 
-    def test_measured_cache_bytes_match_closed_form_every_step(self):
+    @pytest.mark.parametrize(
+        "mode, steps, identified_at",
+        [
+            pytest.param("MHA", 12, None, id="MHA"),
+            pytest.param("CHAI", 12, 5, id="CHAI"),
+            pytest.param("CHAI_STATIC", 12, 0, id="CHAI_STATIC"),
+            pytest.param("CHAI_QKV", 12, 5, id="CHAI_QKV"),
+            pytest.param("CHAI_QKV", 5, None, id="CHAI_QKV-skipped"),
+        ],
+    )
+    def test_measured_cache_bytes_match_closed_form_every_step(
+        self, mode, steps, identified_at
+    ):
         weights, plan = redundant_fixture([2, 3], seed=10)
-        profile = fixture_profile(weights, plan)
-        prompt = random_prompt(weights.config, 4, seed=4)
-        result = generate(weights, prompt, 12, "CHAI", profile=profile)
-        for step in range(1, 13):
+        config = weights.config
+        prompt = random_prompt(config, 4, seed=4)
+        result = generate(
+            weights, prompt, steps, mode,
+            profile=None if mode == "MHA" else fixture_profile(weights, plan),
+        )
+        assert result.identified_at_step == identified_at
+        reuse = mode == "CHAI_QKV"
+        for step in range(1, steps + 1):
             seq_len = len(prompt) + step
-            step_plan = result.plan if step > result.identify_at else None
-            want = kv_cache_bytes(weights.config, step_plan, seq_len).kv_total_bytes
-            assert result.per_step_kv_bytes[step - 1] == want
+            frozen = identified_at is not None and step > identified_at
+            step_plan = result.plan if frozen else None
+            want_bytes = kv_cache_bytes(config, step_plan, seq_len, prune_values=reuse)
+            want_flops = attention_flops(config, step_plan, seq_len, reuse_values=reuse)
+            assert result.per_step_kv_bytes[step - 1] == want_bytes.kv_total_bytes
+            assert result.per_step_attention_flops[step - 1] == want_flops.total_flops
+        # the last step's bytes are the final cache's, as it reports itself
+        summary = result.kv_cache_summary
+        assert summary["length"] == len(prompt) + steps
+        stored = sum(
+            len(layer["stored_key_heads"]) + len(layer["stored_value_heads"])
+            for layer in summary["layers"]
+        )
+        assert result.per_step_kv_bytes[-1] == stored * summary["length"] * config.head_dim * 2
+
+    def test_accounting_runs_once_per_plan_epoch(self, monkeypatch):
+        weights, plan = redundant_fixture([2, 3], seed=10)
+        real = accounting_mod.attention_flops
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(accounting_mod, "attention_flops", spy)
+        generate(
+            weights, random_prompt(weights.config, 4, seed=4), 12, "CHAI",
+            profile=fixture_profile(weights, plan),
+        )
+        # two closed-form evaluations per plan epoch, plus the final report
+        assert len(calls) <= 5
 
 
 class TestGenerateStaticAndQkv:
@@ -194,7 +241,6 @@ class TestGenerateStaticAndQkv:
         result = generate(weights, [1, 2, 3], 4, "CHAI_STATIC", profile=profile)
         assert result.identified_at_step == 0
         assert result.identification_ms > 0.0
-        assert result.steady_step_ms() == result.step_ms
 
     def test_static_on_redundant_fixture_matches_mha(self):
         weights, plan = redundant_fixture([1, 2], seed=12)
