@@ -11,7 +11,6 @@ including the token being decoded.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -242,34 +241,3 @@ def attention_flops(
         baseline_flops=baseline,
     )
 
-
-def write_memory_csv(report: MemoryReport, path) -> None:
-    """Flat per-layer rows plus a total row, for plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "seq_len", "key_bytes", "value_bytes", "kv_total_bytes"])
-        for layer, entry in enumerate(report.per_layer):
-            writer.writerow(
-                [layer, report.seq_len, entry.key_bytes, entry.value_bytes, entry.kv_total_bytes]
-            )
-        writer.writerow(
-            ["total", report.seq_len, report.key_bytes, report.value_bytes, report.kv_total_bytes]
-        )
-
-
-def write_flop_csv(report: FlopReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["layer", "seq_len", "step_kind", "projection_flops", "score_flops",
-             "softmax_flops", "av_flops", "total_flops"]
-        )
-        for layer, entry in enumerate(report.per_layer):
-            writer.writerow(
-                [layer, report.seq_len, report.step_kind, entry.projection_flops,
-                 entry.score_flops, entry.softmax_flops, entry.av_flops, entry.total]
-            )
-        writer.writerow(
-            ["total", report.seq_len, report.step_kind, report.projection_flops,
-             report.score_flops, report.softmax_flops, report.av_flops, report.total_flops]
-        )

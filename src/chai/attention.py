@@ -45,12 +45,6 @@ class LayerCache:
         self.values = np.zeros((len(value_heads), capacity, head_dim), dtype=np.float32)
         self.length = 0
 
-    def key_slot(self, head: int) -> int:
-        return self.stored_key_heads.index(head)
-
-    def value_slot(self, head: int) -> int:
-        return self.stored_value_heads.index(head)
-
     def append(self, new_keys: np.ndarray, new_values: np.ndarray) -> None:
         """Append `tokens` new positions; arrays are (stored_heads, tokens, head_dim)."""
         tokens = new_keys.shape[1]
@@ -120,10 +114,9 @@ def prune_cache(cache: KVCache, plan: ClusterPlan, prune_values: bool = False) -
         reps = sorted(layer_plan.representatives)
         value_heads = reps if prune_values else list(range(config.num_heads))
         new_lc = LayerCache(reps, value_heads, config.max_seq_len, config.head_dim)
-        key_rows = [lc.key_slot(h) for h in reps]
-        value_rows = [lc.value_slot(h) for h in value_heads]
-        new_lc.keys[:, : lc.length, :] = lc.keys[key_rows, : lc.length, :]
-        new_lc.values[:, : lc.length, :] = lc.values[value_rows, : lc.length, :]
+        # unpruned, so head h's planes sit in row h
+        new_lc.keys[:, : lc.length, :] = lc.keys[reps, : lc.length, :]
+        new_lc.values[:, : lc.length, :] = lc.values[value_heads, : lc.length, :]
         new_lc.length = lc.length
         pruned.layers.append(new_lc)
     return pruned
@@ -186,8 +179,14 @@ def export_trace_csv(trace: AttentionTrace, path) -> None:
 
 
 def load_trace_csv(path) -> AttentionTrace:
-    """Read a trace CSV written by `export_trace_csv`; a missing column, a
-    non-numeric field or a row whose positions are not 0..n-1 raises ValidationError."""
+    """Read a trace CSV written by `export_trace_csv`. A missing column or
+    head, a non-numeric field, positions other than 0..n-1, rows of unequal
+    length at one (layer, step), or a layer whose steps are not consecutive
+    with rows one position longer each step raise ValidationError."""
+
+    def malformed(problem: str) -> ValidationError:
+        return ValidationError(f"trace {path}: {problem}")
+
     rows: dict[tuple[int, int, int], list[tuple[int, float]]] = {}
     max_layer = -1
     max_head = -1
@@ -206,15 +205,31 @@ def load_trace_csv(path) -> AttentionTrace:
             max_layer = max(max_layer, layer)
             max_head = max(max_head, head)
     trace = AttentionTrace(max_layer + 1, max_head + 1)
-    for (layer, head, step), entries in rows.items():
-        entries.sort()
-        if [position for position, _ in entries] != list(range(len(entries))):
-            raise ValidationError(
-                f"trace {path}: positions of layer {layer}, head {head}, step {step} "
-                f"are not 0..{len(entries) - 1}"
+    following: dict[int, tuple[int, int]] = {}  # layer -> (next step, its row length)
+    for layer, step in sorted({(layer, step) for layer, _, step in rows}):
+        lengths = set()
+        for head in range(trace.num_heads):
+            if (layer, head, step) not in rows:
+                raise malformed(f"layer {layer}, step {step} has no head {head}")
+            entries = sorted(rows[(layer, head, step)])
+            if [position for position, _ in entries] != list(range(len(entries))):
+                raise malformed(
+                    f"positions of layer {layer}, head {head}, step {step} "
+                    f"are not 0..{len(entries) - 1}"
+                )
+            row = np.array([prob for _, prob in entries], dtype=np.float32)
+            trace._rows.setdefault((layer, head), {})[step] = row
+            lengths.add(len(row))
+        if len(lengths) > 1:
+            raise malformed(f"rows of layer {layer}, step {step} differ in length")
+        length = lengths.pop()
+        if following.get(layer, (step, length)) != (step, length):
+            want_step, want_length = following[layer]
+            raise malformed(
+                f"layer {layer} has step {step} of {length} positions where step "
+                f"{want_step} of {want_length} positions should follow"
             )
-        row = np.array([prob for _, prob in entries], dtype=np.float32)
-        trace._rows.setdefault((layer, head), {})[step] = row
+        following[layer] = (step + 1, length + 1)
     return trace
 
 

@@ -140,6 +140,16 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_elbow_csv(path, curves) -> None:
+    """One (layer, k, error) row per point of each layer's error curve."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["layer", "k", "error"])
+        for layer, curve in enumerate(curves):
+            for k, error in enumerate(curve, start=1):
+                writer.writerow([layer, k, repr(float(error))])
+
+
 def _load_prompt(args, config):
     from .errors import ValidationError
     from .model import byte_prompt
@@ -202,12 +212,7 @@ def cmd_calibrate(args) -> int:
     )
     profile.save(args.out)
     elbow_path = str(Path(args.out).with_suffix("")) + "_elbow.csv"
-    with open(elbow_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "k", "error"])
-        for layer, curve in enumerate(profile.elbow_curves):
-            for k, error in enumerate(curve, start=1):
-                writer.writerow([layer, k, repr(error)])
+    _write_elbow_csv(elbow_path, profile.elbow_curves)
     print(f"wrote {args.out} and {elbow_path}")
     return 0
 
@@ -381,13 +386,11 @@ def cmd_analyze(args) -> int:
 
     if args.what == "elbow":
         path = out_dir / "elbow.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "k", "error"])
-            for layer in range(trace.num_layers):
-                features = extract_features(trace, layer, (1, args.window))
-                for k, error in enumerate(sse_curve(features, seed=args.seed), start=1):
-                    writer.writerow([layer, k, repr(float(error))])
+        curves = [
+            sse_curve(extract_features(trace, layer, (1, args.window)), seed=args.seed)
+            for layer in range(trace.num_layers)
+        ]
+        _write_elbow_csv(path, curves)
         print(f"wrote {path}")
         return 0
 

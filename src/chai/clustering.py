@@ -18,19 +18,16 @@ from .attention import AttentionTrace
 from .errors import ContractError, ShapeError, ValidationError
 from .plan import ClusterPlan
 
-DEFAULT_WINDOW = (1, 5)
 DEFAULT_RESTARTS = 10
-DEFAULT_MAX_ITER = 100
-DEFAULT_TOL = 1e-6
+MAX_ITERATIONS = 100
+RELATIVE_TOL = 1e-6  # Lloyd stops when an iteration cuts SSE by at most this share
 
 
-def extract_features(
-    trace: AttentionTrace, layer: int, window: tuple[int, int] = DEFAULT_WINDOW
-) -> np.ndarray:
+def extract_features(trace: AttentionTrace, layer: int, window: tuple[int, int]) -> np.ndarray:
     """One feature vector per head: its probability rows for the window's steps,
     each right-padded with zeros to the window's final row length, concatenated.
 
-    For a trace over a fresh cache with the default window this gives rows of
+    For a trace over a fresh cache and the window (1, 5) this gives rows of
     lengths 1..5 padded to 5, i.e. 25 features per head.
     """
     first, last = window
@@ -62,8 +59,6 @@ def kmeans(
     k: int,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
     extra_inits=None,
 ) -> KMeansResult:
     """Lloyd's algorithm, k-means++ seeded, best of `restarts` by SSE.
@@ -86,7 +81,7 @@ def kmeans(
 
     best: KMeansResult | None = None
     for init in inits:
-        result = _lloyd(points, init, max_iter, tol)
+        result = _lloyd(points, init)
         if best is None or result.sse < best.sse:
             best = result
     if best is None:
@@ -148,12 +143,12 @@ def _repair_empty(points, assignment, centroids, d2):
     return assignment, centroids
 
 
-def _lloyd(points: np.ndarray, init: np.ndarray, max_iter: int, tol: float) -> KMeansResult:
+def _lloyd(points: np.ndarray, init: np.ndarray) -> KMeansResult:
     centroids = init.copy()
     k = centroids.shape[0]
     prev_sse = np.inf
     assignment = np.zeros(points.shape[0], dtype=np.intp)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITERATIONS):
         d2 = _sqdist(points, centroids)
         assignment = d2.argmin(axis=1)
         assignment, centroids = _repair_empty(points, assignment, centroids, d2)
@@ -162,7 +157,7 @@ def _lloyd(points: np.ndarray, init: np.ndarray, max_iter: int, tol: float) -> K
             raise ContractError(
                 f"SSE increased across a Lloyd iteration ({prev_sse!r} -> {sse!r})"
             )
-        if np.isfinite(prev_sse) and prev_sse - sse <= tol * max(prev_sse, 1e-12):
+        if np.isfinite(prev_sse) and prev_sse - sse <= RELATIVE_TOL * max(prev_sse, 1e-12):
             prev_sse = sse
             break
         prev_sse = sse
@@ -172,34 +167,23 @@ def _lloyd(points: np.ndarray, init: np.ndarray, max_iter: int, tol: float) -> K
     return KMeansResult(assignment=assignment, centroids=centroids, sse=sse)
 
 
-def sse_curve(
-    points,
-    k_max: int | None = None,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """SSE at every cluster count 1..k_max (default: number of points).
+def sse_curve(points, seed: int = 0) -> np.ndarray:
+    """SSE at every cluster count from 1 to the number of points.
 
     Each count's restart pool is warm-started by splitting the previous
     solution, so the curve is non-increasing by construction.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    k_max = n if k_max is None else k_max
-    errors = np.empty(k_max, dtype=np.float64)
+    errors = np.empty(n, dtype=np.float64)
     prev: KMeansResult | None = None
-    for k in range(1, k_max + 1):
+    for k in range(1, n + 1):
         extra = []
         if prev is not None:
             own_dist = ((points - prev.centroids[prev.assignment]) ** 2).sum(axis=1)
             farthest = int(np.argmax(own_dist))
             extra.append(np.vstack([prev.centroids, points[farthest]]))
-        prev = kmeans(
-            points, k, seed=seed, restarts=restarts, max_iter=max_iter, tol=tol,
-            extra_inits=extra,
-        )
+        prev = kmeans(points, k, seed=seed, extra_inits=extra)
         errors[k - 1] = prev.sse
     if np.any(np.diff(errors) > 1e-9):
         raise ContractError("cluster error curve is not non-increasing")

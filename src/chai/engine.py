@@ -46,7 +46,7 @@ from .clustering import (
     kmeans,
     sse_curve,
 )
-from .errors import ValidationError
+from .errors import ContractError, ValidationError
 from .kernels import matmul, rms_norm
 from .model import ModelConfig, Weights
 from .plan import ClusterPlan, LayerPlan
@@ -140,9 +140,9 @@ def _forward_pass(
     trace: AttentionTrace | None = None,
     plan_tensors: PlanTensors | None = None,
 ) -> np.ndarray:
-    """Run tokens through every block; returns the last position's logits.
-    Without `plan_tensors` the rows prefill with causal attention; with them
-    a single token decodes under that plan."""
+    """Run tokens through every block; returns the last position's logits,
+    which must be finite. Without `plan_tensors` the rows prefill with causal
+    attention; with them a single token decodes under that plan."""
     config = weights.config
     ids = np.asarray(token_ids, dtype=np.intp)
     h = weights.token_embedding[ids]
@@ -157,7 +157,10 @@ def _forward_pass(
         gated = _silu(matmul(normed, lw.w_gate)) * matmul(normed, lw.w_up)
         h = h + matmul(gated, lw.w_down)
     last = rms_norm(h[-1:], weights.final_norm_gain)
-    return matmul(last, weights.output_projection)[0]
+    logits = matmul(last, weights.output_projection)[0]
+    if not np.isfinite(logits).all():
+        raise ContractError(f"non-finite logits at cache position {cache.length - 1}")
+    return logits
 
 
 def prefill(weights: Weights, prompt, cache: KVCache, trace: AttentionTrace | None = None):
@@ -459,7 +462,7 @@ def calibrate(
             raise ValidationError(f"corpus sample {index} has token ids out of range")
         samples.append(sample[:window])
 
-    layers, num_heads = range(config.num_layers), config.num_heads
+    layers = range(config.num_layers)
     feature_sets = []  # per sample: list of (H, F) arrays per layer
     for sample in samples:
         trace = _traced_prefix(weights, sample)
@@ -471,10 +474,7 @@ def calibrate(
     elbow_curves = []
     for layer in layers:
         curves = [
-            sse_curve(
-                feature_sets[i][layer], k_max=num_heads,
-                seed=derived_seed(seed, i, layer),
-            )
+            sse_curve(feature_sets[i][layer], seed=derived_seed(seed, i, layer))
             for i in range(len(samples))
         ]
         mean_curve = np.mean(np.stack(curves), axis=0)

@@ -42,9 +42,6 @@ class LayerPlan:
     def num_heads(self) -> int:
         return len(self.assignment)
 
-    def heads_of(self, cluster: int) -> list[int]:
-        return [h for h, c in enumerate(self.assignment) if c == cluster]
-
 
 @dataclass(frozen=True)
 class ClusterPlan:

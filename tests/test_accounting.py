@@ -1,9 +1,7 @@
-import csv
-
 import numpy as np
 import pytest
 
-from chai.accounting import attention_flops, kv_cache_bytes, write_flop_csv, write_memory_csv
+from chai.accounting import attention_flops, kv_cache_bytes
 from chai.errors import ValidationError
 from chai.model import ModelConfig
 from chai.plan import ClusterPlan
@@ -158,27 +156,3 @@ class TestAttentionFlops:
         with pytest.raises(ValidationError):
             attention_flops(small_config(), None, 8, step_kind="warmup")
 
-
-class TestCsvExport:
-    def test_memory_rows_sum_to_total(self, tmp_path):
-        config = small_config()
-        report = kv_cache_bytes(config, grouped_plan(2, 4, [2, 3]), 10)
-        path = tmp_path / "memory.csv"
-        write_memory_csv(report, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        layer_rows = [r for r in rows if r["layer"] != "total"]
-        total_row = rows[-1]
-        assert len(layer_rows) == config.num_layers
-        assert sum(int(r["kv_total_bytes"]) for r in layer_rows) == int(total_row["kv_total_bytes"])
-        assert int(total_row["kv_total_bytes"]) == report.kv_total_bytes
-
-    def test_flop_rows_sum_to_total(self, tmp_path):
-        config = small_config()
-        report = attention_flops(config, grouped_plan(2, 4, [1, 4]), 12)
-        path = tmp_path / "flops.csv"
-        write_flop_csv(report, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        layer_rows = [r for r in rows if r["layer"] != "total"]
-        assert sum(int(r["total_flops"]) for r in layer_rows) == report.total_flops

@@ -7,6 +7,7 @@ import chai.attention as attention_mod
 from chai.attention import (
     AttentionTrace,
     KVCache,
+    LayerCache,
     PlanTensors,
     clustered_forward,
     export_trace_csv,
@@ -373,11 +374,33 @@ class TestPruneCache:
 
     def test_prune_values_keeps_representatives_only(self):
         weights = small_weights()
-        pruned = prune_cache(
-            self._filled_cache(weights), grouped_plan(2, 4, [2, 2]), prune_values=True
-        )
-        for lc in pruned.layers:
+        cache = self._filled_cache(weights)
+        pruned = prune_cache(cache, grouped_plan(2, 4, [2, 2]), prune_values=True)
+        for old, lc in zip(cache.layers, pruned.layers):
             assert lc.stored_value_heads == lc.stored_key_heads == [0, 2]
+            np.testing.assert_array_equal(lc.live_keys(), old.live_keys()[[0, 2]])
+            np.testing.assert_array_equal(lc.live_values(), old.live_values()[[0, 2]])
+
+    @pytest.mark.parametrize(
+        "layers, heads, message",
+        [(1, 4, "plan covers 1 layers, cache has 2"), (2, 8, "plan has 8 heads, cache has 4")],
+        ids=["other_layer_count", "other_head_count"],
+    )
+    def test_plan_for_other_model_rejected(self, layers, heads, message):
+        cache = self._filled_cache(small_weights())
+        with pytest.raises(ContractError, match=message):
+            prune_cache(cache, grouped_plan(layers, heads, [2] * layers))
+
+
+class TestLayerCache:
+    def test_append_past_capacity_rejected_before_writing(self):
+        lc = LayerCache([0, 1], [0, 1], capacity=4, head_dim=2)
+        block = np.ones((2, 3, 2), dtype=np.float32)
+        lc.append(block, block)
+        with pytest.raises(ContractError, match="capacity 4 exceeded at length 3"):
+            lc.append(block[:, :2], block[:, :2])
+        assert lc.length == 3
+        assert not lc.keys[:, 3:].any() and not lc.values[:, 3:].any()
 
 
 class TestTrace:

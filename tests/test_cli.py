@@ -150,6 +150,21 @@ class TestGenerate:
         assert code == 2
         assert "--profile" in capsys.readouterr().err
 
+    def test_non_finite_logits_are_runtime_failure(self, tmp_path, capsys):
+        weights = small_weights()
+        weights.output_projection[:, 5] = np.nan
+        wpath = tmp_path / "weights.bin"
+        save_weights(weights, wpath)
+        prompt_path = tmp_path / "prompt.bin"
+        np.array([1, 2, 3], dtype="<i4").tofile(prompt_path)
+        out = tmp_path / "r.json"
+        assert main([
+            "generate", "--weights", str(wpath), "--prompt", str(prompt_path),
+            "--steps", "4", "--out", str(out),
+        ]) == 1
+        assert "non-finite logits at cache position 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_profile_matches_mha_tokens(self, tmp_path):
         from helpers import degenerate_profile
 
@@ -342,10 +357,25 @@ class TestAnalyze:
             ("no_position_column", "no position column"),
             ("non_numeric_probability", "'abc'"),
             ("missing_position", "layer 0, head 0, step 2 are not 0..3"),
+            ("short_row", "rows of layer 0, step 2 differ in length"),
+            ("missing_head", "layer 0, step 8 has no head 1"),
+            ("missing_step", "layer 0 has step 8 of 11 positions where step 7 of 10"),
+            ("short_step", "layer 0 has step 8 of 10 positions where step 8 of 11"),
         ],
-        ids=["no_position_column", "non_numeric_probability", "missing_position"],
+        ids=[
+            "no_position_column", "non_numeric_probability", "missing_position",
+            "short_row", "missing_head", "missing_step", "short_step",
+        ],
     )
     def test_malformed_trace_is_usage_error(self, tmp_path, capsys, defect, message):
+        # a 3-token prompt: step s rows span positions 0..s+2 of layers 0-1, heads 0-3
+        dropped = {
+            "missing_position": lambda f: f[:4] == ["0", "0", "2", "1"],
+            "short_row": lambda f: f[:4] == ["0", "0", "2", "4"],
+            "missing_head": lambda f: f[:3] == ["0", "1", "8"],
+            "missing_step": lambda f: f[0] == "0" and f[2] == "7",
+            "short_step": lambda f: f[0] == "0" and f[2:4] == ["8", "10"],
+        }
         trace_path, _ = self._trace_from_fixture(tmp_path)
         lines = trace_path.read_text().splitlines()
         if defect == "no_position_column":
@@ -353,7 +383,7 @@ class TestAnalyze:
         elif defect == "non_numeric_probability":
             lines[1] = lines[1].rsplit(",", 1)[0] + ",abc"
         else:
-            lines = [line for line in lines if not line.startswith("0,0,2,1,")]
+            lines = [line for line in lines if not dropped[defect](line.split(","))]
         trace_path.write_text("\n".join(lines) + "\n")
         for what in ("correlation", "elbow"):
             assert main([

@@ -15,7 +15,7 @@ from chai.engine import (
     parse_mode,
     prefill,
 )
-from chai.errors import ValidationError
+from chai.errors import ContractError, ValidationError
 from chai.plan import ClusterPlan
 from helpers import (
     degenerate_profile,
@@ -45,6 +45,12 @@ class TestForwardPass:
             logits = prefill(weights, random_prompt(weights.config, length, seed=length), cache)
             assert logits.shape == (weights.config.vocab_size,)
             assert np.all(np.isfinite(logits))
+
+    def test_non_finite_logits_raise_naming_the_position(self):
+        weights = small_weights(seed=1)
+        weights.output_projection[:, 3] = np.nan
+        with pytest.raises(ContractError, match="non-finite logits at cache position 3"):
+            generate(weights, random_prompt(weights.config, 4, seed=0), 2, "MHA")
 
 
 class TestGenerateMha:

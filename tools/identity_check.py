@@ -1,0 +1,140 @@
+"""Byte-identity check: run a fixed `chai` CLI pipeline and hash its artifacts.
+
+Usage: python tools/identity_check.py SRC_DIR OUT_DIR
+
+Runs every command against the package under SRC_DIR (put first on
+PYTHONPATH, with PYTHONDONTWRITEBYTECODE=1 so the tree stays clean) in a
+temporary directory, and writes OUT_DIR/SHA256SUMS: one `sha256  artifact`
+line per artifact. Wall-clock fields are removed before hashing (`timing` of
+the generate JSON, the timed columns of the bench CSV). Two trees compute
+the same thing when their SHA256SUMS files are equal:
+
+    python tools/identity_check.py old/src out-old
+    python tools/identity_check.py src out-new
+    diff out-old/SHA256SUMS out-new/SHA256SUMS
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import json
+import os
+import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MODES = ("MHA", "CHAI", "CHAI_STATIC", "CHAI_QKV")
+CLUSTERED = MODES[1:]
+TEXT = "Clustered heads share one attention row per cluster."
+BENCH_COLUMNS = ("mode", "seq_len", "flops", "kv_bytes", "savings_fraction")
+
+# (name, prompt flags, steps, profile, extra flags); long.bin holds 300 tokens
+INPUTS = (
+    ("text", ["--text", TEXT], 24, "w5", []),
+    ("long", ["--prompt", "long.bin"], 24, "w5", []),
+    ("one_byte", ["--text", "a"], 9, "w5", ["--identify-at", "3"]),
+    ("three_bytes", ["--text", "abc"], 4, "w5", []),
+    ("window1", ["--text", TEXT], 12, "w1", ["--identify-at", "1"]),
+)
+
+
+def _chai(src: Path, work: Path, *args: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "chai.cli", *args],
+        cwd=work, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"chai {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
+
+
+def _without_timing(path: Path) -> bytes:
+    payload = json.loads(path.read_text())
+    payload.pop("timing")
+    return json.dumps(payload, sort_keys=True, indent=2).encode()
+
+
+def _bench_columns(path: Path) -> bytes:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            writer.writerow([row[c] for c in BENCH_COLUMNS])
+    return out.getvalue().encode()
+
+
+def run_pipeline(src: Path, work: Path) -> dict[str, bytes]:
+    """Every artifact's name and the bytes that are compared."""
+    artifacts: dict[str, bytes] = {}
+
+    def keep(name: str, content: bytes | None = None) -> None:
+        artifacts[name] = (work / name).read_bytes() if content is None else content
+
+    _chai(src, work, "init", "--layers", "2", "--heads", "8", "--head-dim", "8",
+          "--vocab-size", "256", "--seed", "3", "--out", "weights.bin")
+    keep("weights.bin")
+    corpus = [[(37 * i + 11 * j + i * j) % 256 for j in range(12)] for i in range(6)]
+    (work / "corpus.json").write_text(json.dumps(corpus))
+    long_prompt = [(7 * t + 5) % 256 for t in range(300)]
+    (work / "long.bin").write_bytes(struct.pack("<300i", *long_prompt))
+    for window in ("5", "1"):
+        _chai(src, work, "calibrate", "--weights", "weights.bin", "--corpus", "corpus.json",
+              "--window", window, "--out", f"w{window}.json")
+        keep(f"w{window}.json")
+        keep(f"w{window}_elbow.csv")
+
+    for name, prompt, steps, profile, extra in INPUTS:
+        for mode in MODES:
+            out = f"generate_{name}_{mode}.json"
+            traced = name == "text" and mode != "CHAI_STATIC"
+            trace = ["--trace", f"trace_{mode}.csv"] if traced else []
+            _chai(src, work, "generate", "--weights", "weights.bin", "--mode", mode,
+                  "--profile", f"{profile}.json", *prompt, "--steps", str(steps),
+                  *extra, *trace, "--out", out)
+            keep(out, _without_timing(work / out))
+            if traced:
+                keep(f"trace_{mode}.csv")
+
+    for mode in CLUSTERED:
+        out = f"compare_{mode}.json"
+        _chai(src, work, "compare", "--weights", "weights.bin", "--profile", "w5.json",
+              "--text", TEXT, "--steps", "24", "--mode", mode, "--out", out)
+        keep(out)
+
+    _chai(src, work, "bench", "--weights", "weights.bin", "--profile", "w5.json",
+          "--seq-lens", "16,64", "--modes", ",".join(MODES), "--repeats", "2",
+          "--out", "bench.csv")
+    keep("bench.csv", _bench_columns(work / "bench.csv"))
+
+    outputs = {"correlation": "correlation.csv", "elbow": "elbow.csv",
+               "stability": "stability.csv", "histogram": "histogram.json"}
+    for what, written in outputs.items():
+        _chai(src, work, "analyze", "--trace", "trace_MHA.csv", "--what", what,
+              "--profile", "w5.json", "--out", "analysis")
+        keep(f"analysis/{written}")
+    return artifacts
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/identity_check.py SRC_DIR OUT_DIR", file=sys.stderr)
+        return 2
+    src, out_dir = Path(argv[0]).resolve(), Path(argv[1])
+    if not (src / "chai" / "cli.py").is_file():
+        print(f"error: {src} holds no chai package", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        artifacts = run_pipeline(src, Path(tmp))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lines = [f"{hashlib.sha256(data).hexdigest()}  {name}\n" for name, data in artifacts.items()]
+    (out_dir / "SHA256SUMS").write_text("".join(lines))
+    print(f"wrote {len(lines)} hashes to {out_dir / 'SHA256SUMS'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
