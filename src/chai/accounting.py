@@ -91,7 +91,6 @@ class LayerFlops:
 class FlopReport:
     per_layer: tuple[LayerFlops, ...]
     seq_len: int
-    step_kind: str
     baseline_flops: int
 
     @property
@@ -121,7 +120,7 @@ class FlopReport:
     def to_dict(self) -> dict:
         return {
             "seq_len": self.seq_len,
-            "step_kind": self.step_kind,
+            "step_kind": "decode",  # every report covers one decode step
             "projection_flops": self.projection_flops,
             "score_flops": self.score_flops,
             "softmax_flops": self.softmax_flops,
@@ -203,41 +202,16 @@ def attention_flops(
     config: ModelConfig,
     plan: ClusterPlan | None,
     seq_len: int,
-    step_kind: str = "decode",
     reuse_values: bool = False,
 ) -> FlopReport:
-    """Attention FLOPs for one decode step at `seq_len` cached positions, or
-    for a whole prefill (the decode form summed over positions 1..seq_len)."""
-    if step_kind not in ("decode", "prefill"):
-        raise ValidationError(f"step_kind must be decode or prefill, got {step_kind!r}")
+    """Attention FLOPs for one decode step at `seq_len` cached positions."""
     if seq_len < 1:
         raise ValidationError(f"seq_len must be >= 1, got {seq_len}")
-    counts = _layer_cluster_counts(config, plan)
     reuse = reuse_values and plan is not None
-
-    def build(cluster_counts, use_reuse):
-        layers = []
-        for k in cluster_counts:
-            if step_kind == "decode":
-                parts = _decode_layer_flops(config, k, seq_len, use_reuse)
-            else:
-                positions = seq_len * (seq_len + 1) // 2
-                proj, score, softmax, av = _decode_layer_flops(config, k, 1, use_reuse)
-                parts = (
-                    proj * seq_len,
-                    score * positions,
-                    softmax * positions,
-                    av * positions,
-                )
-            layers.append(LayerFlops(*parts))
-        return layers
-
-    per_layer = build(counts, reuse)
-    baseline = sum(layer.total for layer in build([config.num_heads] * config.num_layers, False))
-    return FlopReport(
-        per_layer=tuple(per_layer),
-        seq_len=seq_len,
-        step_kind=step_kind,
-        baseline_flops=baseline,
-    )
-
+    per_layer = [
+        LayerFlops(*_decode_layer_flops(config, k, seq_len, reuse))
+        for k in _layer_cluster_counts(config, plan)
+    ]
+    plain = LayerFlops(*_decode_layer_flops(config, config.num_heads, seq_len, False))
+    baseline = config.num_layers * plain.total
+    return FlopReport(per_layer=tuple(per_layer), seq_len=seq_len, baseline_flops=baseline)

@@ -1,15 +1,16 @@
 """Multi-head and clustered-head attention over a prunable KV cache.
 
-There is one single-token attention path, `clustered_forward`. Under a frozen
-plan it reads as grouped-query attention (GQA) over a per-request layout:
-each cache slot holds one cluster representative's key plane, the slot's
-query is the representative's, and every head blends values with its slot's
-probability row. Plain multi-head decoding is the singleton plan (one head
-per slot), which prunes nothing and selects no weight columns.
-`mha_forward` is the multi-row causal path over an unpruned cache, used for
-prefill. Pruning physically drops key storage for non-representative heads;
-value rows are kept for every head, except under the value-reuse variant
-which stores only the representatives' values.
+There is one attention kernel, `clustered_forward`. Under a frozen plan it
+reads as grouped-query attention (GQA) over a per-request layout: each cache
+slot holds one cluster representative's key plane, the slot's query is the
+representative's, and every head blends values with its slot's probability
+rows. Plain multi-head attention is the singleton plan (one head per slot),
+which prunes nothing and selects no weight columns; only under it does the
+kernel attend several causal rows at once, as prefill does. `mha_forward`,
+prefill's entry point, delegates to the kernel under that plan. Pruning
+physically drops key storage for non-representative heads; value rows are
+kept for every head, except under the value-reuse variant which stores only
+the representatives' values.
 
 Cache ownership: a KVCache belongs to exactly one in-flight request. Layer
 weights are read-only and shareable.
@@ -28,6 +29,10 @@ from .errors import (
 from .kernels import apply_rope_heads, matmul, softmax_rows
 from .model import LayerWeights, ModelConfig, head_columns
 from .plan import ClusterPlan
+
+# Budget for one slot group's float32 (G, T, S) score buffer during prefill;
+# at 1 MiB a 512-token prompt keeps one head per group.
+SCORE_BUFFER_BYTES = 1 << 20
 
 
 class LayerCache:
@@ -179,10 +184,11 @@ def export_trace_csv(trace: AttentionTrace, path) -> None:
 
 
 def load_trace_csv(path) -> AttentionTrace:
-    """Read a trace CSV written by `export_trace_csv`. A missing column or
-    head, a non-numeric field, positions other than 0..n-1, rows of unequal
-    length at one (layer, step), or a layer whose steps are not consecutive
-    with rows one position longer each step raise ValidationError."""
+    """Read a trace CSV written by `export_trace_csv`. A file without rows, a
+    missing column or head, a non-numeric field, positions other than
+    0..n-1, rows of unequal length at one (layer, step), a layer whose steps
+    are not consecutive with rows one position longer each step, or layers
+    covering different steps raise ValidationError."""
 
     def malformed(problem: str) -> ValidationError:
         return ValidationError(f"trace {path}: {problem}")
@@ -204,6 +210,8 @@ def load_trace_csv(path) -> AttentionTrace:
             rows.setdefault((layer, head, step), []).append((position, probability))
             max_layer = max(max_layer, layer)
             max_head = max(max_head, head)
+    if not rows:
+        raise ValidationError(f"trace {path} has no rows")
     trace = AttentionTrace(max_layer + 1, max_head + 1)
     following: dict[int, tuple[int, int]] = {}  # layer -> (next step, its row length)
     for layer, step in sorted({(layer, step) for layer, _, step in rows}):
@@ -230,6 +238,14 @@ def load_trace_csv(path) -> AttentionTrace:
                 f"{want_step} of {want_length} positions should follow"
             )
         following[layer] = (step + 1, length + 1)
+
+    def span(layer: int) -> str:
+        steps = trace.steps(layer)
+        return f"steps {steps[0]}..{steps[-1]}" if steps else "no steps"
+
+    for layer in range(1, trace.num_layers):
+        if trace.steps(layer) != trace.steps(0):
+            raise malformed(f"layer {layer} has {span(layer)} where layer 0 has {span(0)}")
     return trace
 
 
@@ -248,70 +264,8 @@ def _to_cache_layout(block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(block.transpose(1, 0, 2))
 
 
-def _score_rows(queries: np.ndarray, keys: np.ndarray, scale: np.float32) -> np.ndarray:
-    """Single-token scores: (n, d_h) queries against (n, len, d_h) keys -> (n, len)."""
-    scores = np.matmul(queries[:, None, :], keys.transpose(0, 2, 1))[:, 0, :]
-    scores *= scale
-    return scores
-
-
-def _blend_values(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-head weighted value sums: (n, len) rows x (n, len, d_h) -> (n, d_h)."""
-    return np.matmul(rows[:, None, :], values)[:, 0, :]
-
-
-def mha_forward(
-    x: np.ndarray,
-    layer_weights: LayerWeights,
-    cache: KVCache,
-    layer: int,
-    trace: AttentionTrace | None = None,
-) -> np.ndarray:
-    """Causal multi-head attention of several rows over an unpruned cache.
-
-    Projects Q/K/V for all heads in batched matmuls, rotates Q and K at their
-    absolute positions, appends K and V to the cache, and attends causally.
-    Serves prefill and calibration prefixes; decode steps go through
-    `clustered_forward`. Heads are looped, each holding one (T, start + T)
-    score buffer that is scaled and softmax-normalized in place; each head's
-    value blend is written straight into its columns of the merged output.
-    """
-    config = cache.config
-    num_heads, head_dim = config.num_heads, config.head_dim
-    lc = cache.layers[layer]
-    if lc.stored_key_heads != list(range(num_heads)):
-        raise ModeMismatchError(
-            f"mha_forward needs all {num_heads} key heads cached, "
-            f"found {lc.stored_key_heads}"
-        )
-    if x.ndim != 2 or x.shape[1] != config.model_dim:
-        raise ShapeError(f"expected (T, {config.model_dim}) input, got {x.shape}")
-
-    tokens = x.shape[0]
-    start = lc.length
-    scale = _head_scale(head_dim)
-
-    queries = apply_rope_heads(_project_heads(x, layer_weights.wq, head_dim), start)
-    new_keys = apply_rope_heads(_project_heads(x, layer_weights.wk, head_dim), start)
-    new_values = _project_heads(x, layer_weights.wv, head_dim)
-    lc.append(_to_cache_layout(new_keys), _to_cache_layout(new_values))
-
-    live_keys = lc.live_keys()
-    live_values = lc.live_values()
-    merged = np.empty((tokens, num_heads * head_dim), dtype=np.float32)
-    for head in range(num_heads):
-        probs = matmul(queries[:, head, :], live_keys[head].T)
-        probs *= scale
-        softmax_rows(probs, causal_from=start, out=probs)
-        merged[:, head * head_dim : (head + 1) * head_dim] = matmul(probs, live_values[head])
-        if trace is not None:
-            for i in range(tokens):
-                trace.record(layer, head, start + i, probs[i, : start + i + 1])
-    return matmul(merged, layer_weights.wo)
-
-
 class PlanTensors:
-    """Everything a decode step needs from a frozen plan, built once per plan.
+    """Everything a forward pass needs from a frozen plan, built once per plan.
 
     Per layer: the representatives' wq/wk columns in cluster order, the wv
     columns of the stored value heads, the cluster whose key each cache slot
@@ -348,56 +302,101 @@ class PlanTensors:
 
 
 def clustered_forward(
-    x_t: np.ndarray,
+    x: np.ndarray,
     layer_weights: LayerWeights,
     cache: KVCache,
     layer: int,
     plan_tensors: PlanTensors,
     trace: AttentionTrace | None = None,
 ) -> np.ndarray:
-    """Single-token attention computing Q/K and score rows only for cluster
-    representatives; every head's output uses its representative's
-    probability row. With one value head per slot (value reuse) the slot's
-    value output is replicated across the cluster instead of blending each
-    head's own values. `trace` records each head's probability row."""
+    """Causal attention of T >= 1 rows that computes Q/K and score rows only
+    for cluster representatives; every head's output uses its
+    representative's probability rows. With one value head per slot (value
+    reuse) the slot's value output is replicated across the cluster instead
+    of blending each head's own values. `trace` records each head's rows.
+
+    Several rows (prefill) are accepted only under the singleton plan. Slots
+    are processed in groups whose float32 (G, T, start + T) score buffer fits
+    SCORE_BUFFER_BYTES, with at least one slot per group; one row is always
+    one group. Scores are normalized in place, and value blends are written
+    straight into the merged output.
+    """
     config = cache.config
     num_heads, head_dim = config.num_heads, config.head_dim
     lc = cache.layers[layer]
     pt = plan_tensors
     expected = (pt.key_heads[layer], pt.value_heads[layer])
     if (lc.stored_key_heads, lc.stored_value_heads) != expected:
-        raise ContractError(
+        raise ModeMismatchError(
             f"cache stores key heads {lc.stored_key_heads} and value heads "
             f"{lc.stored_value_heads}; the plan expects {expected[0]} and {expected[1]}"
         )
-    if x_t.ndim != 2 or x_t.shape[0] != 1 or x_t.shape[1] != config.model_dim:
-        raise ShapeError(f"clustered_forward decodes one token, got input {x_t.shape}")
+    if x.ndim != 2 or x.shape[1] != config.model_dim:
+        raise ShapeError(f"expected (T, {config.model_dim}) input, got {x.shape}")
+    tokens = x.shape[0]
+    slots = len(expected[0])
+    if tokens > 1 and slots != num_heads:
+        raise ContractError(
+            f"{tokens} rows under a plan of {slots} slots for {num_heads} heads: "
+            "only the singleton plan attends several rows"
+        )
 
     start = lc.length
     scale = _head_scale(head_dim)
     cluster_of_slot = pt.cluster_of_slot[layer]
     slot_of_head = pt.slot_of_head[layer]
 
-    # projections land in cluster-id order (one row per cluster)
-    queries = apply_rope_heads(_project_heads(x_t, pt.wq[layer], head_dim), start)
-    new_keys = apply_rope_heads(_project_heads(x_t, pt.wk[layer], head_dim), start)
-    new_values = _project_heads(x_t, pt.wv[layer], head_dim)
+    # projections land in cluster-id order (one column block per cluster)
+    queries = apply_rope_heads(_project_heads(x, pt.wq[layer], head_dim), start)
+    new_keys = apply_rope_heads(_project_heads(x, pt.wk[layer], head_dim), start)
+    new_values = _project_heads(x, pt.wv[layer], head_dim)
 
     # cache slots hold representatives in ascending-head order; reorder the
-    # small per-token tensors rather than the cached key planes
+    # new rows rather than the cached key planes
     lc.append(_to_cache_layout(new_keys[:, cluster_of_slot, :]), _to_cache_layout(new_values))
-
-    live_keys = lc.live_keys()
+    slot_queries = queries[:, cluster_of_slot, :].transpose(1, 0, 2)
+    live_keys = lc.live_keys().transpose(0, 2, 1)
     live_values = lc.live_values()
 
-    probs_by_slot = softmax_rows(_score_rows(queries[0][cluster_of_slot], live_keys, scale))
-    if trace is not None:
-        for head in range(num_heads):
-            trace.record(layer, head, start, probs_by_slot[slot_of_head[head]])
-
-    if pt.prune_values:
-        head_outputs = _blend_values(probs_by_slot, live_values)[slot_of_head]
-    else:
-        head_outputs = _blend_values(probs_by_slot[slot_of_head], live_values)
-    merged = head_outputs.reshape(1, num_heads * head_dim)
+    merged = np.empty((tokens, num_heads * head_dim), dtype=np.float32)
+    head_outputs = merged.reshape(tokens, num_heads, head_dim).transpose(1, 0, 2)
+    group = slots
+    if tokens > 1:
+        group = max(1, SCORE_BUFFER_BYTES // (4 * tokens * lc.length))  # float32
+    for lo in range(0, slots, group):
+        hi = min(lo + group, slots)
+        probs = np.matmul(slot_queries[lo:hi], live_keys[lo:hi])
+        probs *= scale
+        softmax_rows(probs, causal_from=start, out=probs)
+        if slots == num_heads:  # slot s holds head s
+            np.matmul(probs, live_values[lo:hi], out=head_outputs[lo:hi])
+        elif pt.prune_values:
+            head_outputs[:] = np.matmul(probs, live_values)[slot_of_head]
+        else:
+            np.matmul(probs[slot_of_head], live_values, out=head_outputs)
+        if trace is not None:
+            for head in range(num_heads):
+                slot = slot_of_head[head]
+                if lo <= slot < hi:
+                    for i in range(tokens):
+                        trace.record(layer, head, start + i, probs[slot - lo, i, : start + i + 1])
     return matmul(merged, layer_weights.wo)
+
+
+def mha_forward(
+    x: np.ndarray,
+    layer_weights: LayerWeights,
+    cache: KVCache,
+    layer: int,
+    plan_tensors: PlanTensors,
+    trace: AttentionTrace | None = None,
+) -> np.ndarray:
+    """Causal multi-head attention of one or more rows over an unpruned cache:
+    `clustered_forward` under the singleton plan, whose `plan_tensors` the
+    caller builds once per request. The entry point of prefill and of
+    calibration prefixes."""
+    if len(plan_tensors.key_heads[layer]) != cache.config.num_heads:
+        raise ContractError("mha_forward runs under the singleton plan's tensors")
+    return clustered_forward(x, layer_weights, cache, layer, plan_tensors, trace)
+
+

@@ -29,6 +29,13 @@ def _cap_threads() -> None:
         os.environ.setdefault(var, value)
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chai",
@@ -43,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ffn-dim", type=int, default=384)
     p.add_argument("--vocab-size", type=int, default=256)
     p.add_argument("--max-seq-len", type=int, default=2048)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_init)
 
@@ -53,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--window", type=int, default=5)
     p.add_argument("--threshold", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="profile JSON; elbow CSV lands beside it")
     p.set_defaults(func=cmd_calibrate)
 
@@ -65,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", default=None, help="byte-level prompt fallback")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--identify-at", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trace", default=None, help="also export the attention trace CSV here")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -77,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", default="MHA,CHAI")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--identify-at", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 
@@ -90,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=5)
     p.add_argument("--from-step", type=int, default=None)
     p.add_argument("--to-step", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_analyze)
 
@@ -102,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--mode", default="CHAI")
     p.add_argument("--identify-at", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
@@ -169,7 +176,6 @@ def _load_prompt(args, config):
 
 
 def cmd_init(args) -> int:
-    from .errors import ValidationError
     from .model import ModelConfig, init_random, save_weights
 
     config = ModelConfig(
@@ -181,8 +187,6 @@ def cmd_init(args) -> int:
         vocab_size=args.vocab_size,
         max_seq_len=args.max_seq_len,
     )
-    if args.seed < 0:
-        raise ValidationError("--seed must be non-negative")
     save_weights(init_random(config, args.seed), args.out)
     print(f"wrote {args.out}")
     return 0
@@ -278,6 +282,8 @@ def cmd_bench(args) -> int:
         raise ValidationError(f"--seq-lens must be comma-separated integers: {args.seq_lens!r}")
     if not seq_lens or not modes:
         raise ValidationError("--seq-lens and --modes must be non-empty")
+    if min(seq_lens) < 1:
+        raise ValidationError(f"--seq-lens entries must be >= 1: {args.seq_lens!r}")
     if args.repeats < 1:
         raise ValidationError("--repeats must be >= 1")
 
@@ -372,12 +378,14 @@ def cmd_analyze(args) -> int:
 
     if args.what == "correlation":
         path = out_dir / "correlation.csv"
+        matrices = [
+            correlation_matrix(extract_features(trace, layer, (1, args.window)))
+            for layer in range(trace.num_layers)
+        ]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["layer", "head_i", "head_j", "correlation"])
-            for layer in range(trace.num_layers):
-                features = extract_features(trace, layer, (1, args.window))
-                corr = correlation_matrix(features)
+            for layer, corr in enumerate(matrices):
                 for i in range(trace.num_heads):
                     for j in range(trace.num_heads):
                         writer.writerow([layer, i, j, repr(float(corr[i, j]))])

@@ -2,14 +2,14 @@
 online membership identification, the static-assignment variant, the
 value-reuse variant, and offline calibration.
 
-Every mode prefills the prompt with plain causal attention (`mha_forward`)
-and runs every decode step through the one single-token kernel,
+Every forward pass goes through the one attention kernel,
 `clustered_forward`, under precomputed `PlanTensors`. Plain multi-head
-decoding is the singleton plan (every head its own cluster). For the
-clustered modes the first `identify_at` decoded tokens run under that plan
-with tracing, then each layer's heads are clustered from those traced rows
-(k-means with the profile's per-layer cluster counts), the cache is pruned
-once, and the real plan's tensors replace the singleton's for every
+attention is the singleton plan (every head its own cluster): every mode
+prefills the prompt under it, through `mha_forward`, and MHA decodes under
+it. For the clustered modes the first `identify_at` decoded tokens run under
+that plan with tracing, then each layer's heads are clustered from those
+traced rows (k-means with the profile's per-layer cluster counts), the cache
+is pruned once, and the real plan's tensors replace the singleton's for every
 remaining step. The static variant skips identification and applies the
 profile's calibration-time assignment right after prefill.
 
@@ -137,22 +137,18 @@ def _forward_pass(
     weights: Weights,
     token_ids,
     cache: KVCache,
+    attend,
+    plan_tensors: PlanTensors,
     trace: AttentionTrace | None = None,
-    plan_tensors: PlanTensors | None = None,
 ) -> np.ndarray:
-    """Run tokens through every block; returns the last position's logits,
-    which must be finite. Without `plan_tensors` the rows prefill with causal
-    attention; with them a single token decodes under that plan."""
-    config = weights.config
+    """Run tokens through every block, attending with `attend`
+    (`mha_forward` or `clustered_forward`) under `plan_tensors`; returns the
+    last position's logits, which must be finite."""
     ids = np.asarray(token_ids, dtype=np.intp)
     h = weights.token_embedding[ids]
     for layer, lw in enumerate(weights.layers):
         normed = rms_norm(h, lw.attn_norm_gain)
-        if plan_tensors is None:
-            attn = mha_forward(normed, lw, cache, layer, trace)
-        else:
-            attn = clustered_forward(normed, lw, cache, layer, plan_tensors, trace)
-        h = h + attn
+        h = h + attend(normed, lw, cache, layer, plan_tensors, trace)
         normed = rms_norm(h, lw.mlp_norm_gain)
         gated = _silu(matmul(normed, lw.w_gate)) * matmul(normed, lw.w_up)
         h = h + matmul(gated, lw.w_down)
@@ -163,9 +159,23 @@ def _forward_pass(
     return logits
 
 
-def prefill(weights: Weights, prompt, cache: KVCache, trace: AttentionTrace | None = None):
-    """Process the whole prompt with plain attention; returns last-position logits."""
-    return _forward_pass(weights, prompt, cache, trace=trace)
+def _singleton_tensors(weights: Weights) -> PlanTensors:
+    """Plan tensors of the singleton plan, under which every prompt prefills."""
+    config = weights.config
+    singleton = ClusterPlan.singleton(config.num_layers, config.num_heads)
+    return PlanTensors(singleton, weights.layers, config.head_dim)
+
+
+def prefill(
+    weights: Weights,
+    prompt,
+    cache: KVCache,
+    plan_tensors: PlanTensors,
+    trace: AttentionTrace | None = None,
+):
+    """Process the whole prompt with plain causal attention under the
+    singleton plan's `plan_tensors`; returns last-position logits."""
+    return _forward_pass(weights, prompt, cache, mha_forward, plan_tensors, trace)
 
 
 def _validate_prompt(config: ModelConfig, prompt, steps: int) -> list[int]:
@@ -312,9 +322,7 @@ def generate(
 
     cache = KVCache(config)
     unpruned = cache.summary()  # the head layout until the plan freezes
-    plan_tensors = PlanTensors(
-        ClusterPlan.singleton(config.num_layers, config.num_heads), weights.layers, config.head_dim
-    )
+    plan_tensors = _singleton_tensors(weights)
     plan: ClusterPlan | None = None
     identified_at_step = None
     identification_ms = 0.0
@@ -325,7 +333,7 @@ def generate(
         trace = AttentionTrace(config.num_layers, config.num_heads, base_position=len(prompt))
 
     start = time.perf_counter()
-    logits = prefill(weights, prompt, cache)
+    logits = prefill(weights, prompt, cache, plan_tensors)
     prefill_ms = (time.perf_counter() - start) * 1000.0
     next_token = int(np.argmax(logits))
 
@@ -349,8 +357,9 @@ def generate(
             weights,
             [next_token],
             cache,
+            clustered_forward,
+            plan_tensors,
             trace=trace if plan is None else None,
-            plan_tensors=plan_tensors,
         )
         next_token = int(np.argmax(logits))
         step_ms.append((time.perf_counter() - step_start) * 1000.0)
@@ -386,7 +395,7 @@ def generate(
     )
     memory_report = accounting.kv_cache_bytes(config, plan, seq_lens[-1], prune_values=reuse_values)
     flop_report = accounting.attention_flops(
-        config, plan, seq_lens[-1], "decode", reuse_values=reuse_values
+        config, plan, seq_lens[-1], reuse_values=reuse_values
     )
     return GenerationResult(
         mode=mode,
@@ -413,9 +422,11 @@ def generate(
 def _traced_prefix(weights: Weights, token_ids) -> AttentionTrace:
     """Plain attention over a fresh cache with tracing from position 0; the
     step-s row then has length s, giving fixed-size calibration features."""
-    cache = KVCache(weights.config)
-    trace = AttentionTrace(weights.config.num_layers, weights.config.num_heads)
-    _forward_pass(weights, token_ids, cache, trace=trace)
+    config = weights.config
+    trace = AttentionTrace(config.num_layers, config.num_heads)
+    _forward_pass(
+        weights, token_ids, KVCache(config), mha_forward, _singleton_tensors(weights), trace
+    )
     return trace
 
 

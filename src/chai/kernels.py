@@ -40,16 +40,17 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def softmax_rows(
-    m: Matrix, causal_from: int | None = None, out: Matrix | None = None
-) -> Matrix:
+    m: np.ndarray, causal_from: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Row-wise softmax with optional causal masking.
 
+    `m` is a (rows, cols) matrix or a (batch, rows, cols) stack of them.
     Rows are normalized independently after subtracting the row max, so each
     unmasked row sums to 1 and every entry lies in [0, 1].
 
-    When `causal_from` is given, row i is treated as the score row of the
-    query at absolute position `causal_from + i`, and any column j (a key
-    position) with j > causal_from + i is masked to exactly 0.
+    When `causal_from` is given, row i of each matrix is treated as the score
+    row of the query at absolute position `causal_from + i`, and any column j
+    (a key position) with j > causal_from + i is masked to exactly 0.
 
     `out` names the float32 buffer, shaped like `m`, that receives the result;
     `out=m` normalizes a float32 `m` in place. By default a new array is
@@ -57,9 +58,9 @@ def softmax_rows(
     is written.
     """
     scores = np.asarray(m, dtype=DTYPE)
-    if scores.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a 2-D matrix, got shape {scores.shape}")
-    n_rows, n_cols = scores.shape
+    if scores.ndim not in (2, 3):
+        raise ShapeError(f"softmax_rows expects a 2-D or 3-D array, got shape {scores.shape}")
+    n_rows, n_cols = scores.shape[-2:]
     if n_cols == 0:
         raise ContractError("softmax over an empty row")
     if causal_from is not None and causal_from < 0:
@@ -81,9 +82,9 @@ def softmax_rows(
         query_pos = causal_from + np.arange(n_rows)
         np.copyto(out, -np.inf, where=np.arange(n_cols)[None, :] > query_pos[:, None])
     # exp(-inf) is exactly +0.0, so masked entries come out as 0 with no fix-up.
-    out -= out.max(axis=1, keepdims=True)
+    out -= out.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
+    out /= out.sum(axis=-1, keepdims=True)
     return out
 
 

@@ -135,24 +135,8 @@ class TestAttentionFlops:
         f = [attention_flops(config, plan, s).total_flops for s in (5, 10, 15)]
         assert f[1] - f[0] == f[2] - f[1]
 
-    def test_prefill_sums_decode_form(self):
-        config = small_config()
-        t = 6
-        prefill = attention_flops(config, None, t, step_kind="prefill")
-        decode_sum = sum(
-            attention_flops(config, None, s).score_flops for s in range(1, t + 1)
-        )
-        assert prefill.score_flops == decode_sum
-        # projections run once per position
-        assert prefill.projection_flops == t * attention_flops(config, None, 1).projection_flops
-
     def test_reduction_bounded(self):
         config = small_config()
         plan = grouped_plan(2, 4, [1, 1])
         report = attention_flops(config, plan, 32)
         assert 0.0 < report.reduction_fraction < 1.0
-
-    def test_bad_step_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            attention_flops(small_config(), None, 8, step_kind="warmup")
-

@@ -24,7 +24,10 @@ from helpers import grouped_plan, reference_mha_forward, singleton_tensors, smal
 def decode_mha(weights, x_rows, trace=None):
     """Run mha_forward step by step over one layer; returns per-step outputs."""
     cache = KVCache(weights.config)
-    outs = [mha_forward(row[None, :], weights.layers[0], cache, 0, trace) for row in x_rows]
+    tensors = singleton_tensors(weights)
+    outs = [
+        mha_forward(row[None, :], weights.layers[0], cache, 0, tensors, trace) for row in x_rows
+    ]
     return outs, cache
 
 
@@ -35,7 +38,7 @@ class TestMhaForward:
         trace = AttentionTrace(2, 4)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 32)).astype(np.float32)
-        out = mha_forward(x, weights.layers[0], cache, 0, trace)
+        out = mha_forward(x, weights.layers[0], cache, 0, singleton_tensors(weights), trace)
         assert out.shape == (1, 32)
         for head in range(4):
             np.testing.assert_array_equal(trace.row(0, head, 1), [1.0])
@@ -45,7 +48,7 @@ class TestMhaForward:
         cache = KVCache(weights.config)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 32)).astype(np.float32)
-        out = mha_forward(x, weights.layers[0], cache, 0)
+        out = mha_forward(x, weights.layers[0], cache, 0, singleton_tensors(weights))
         # With a single position every head's probability is 1, so the output
         # is just the concatenated value projections through wo.
         values = cache.layers[0].live_values()[:, 0, :].reshape(1, -1)
@@ -97,7 +100,7 @@ class TestMhaForward:
         want1 = (row1[0] * v[0] + row1[1] * v[1]) @ lw.wo
 
         cache = KVCache(config)
-        out = mha_forward(x, lw, cache, 0)
+        out = mha_forward(x, lw, cache, 0, singleton_tensors(weights))
         np.testing.assert_allclose(out[0], want0, atol=1e-6)
         np.testing.assert_allclose(out[1], want1, atol=1e-6)
 
@@ -107,7 +110,7 @@ class TestMhaForward:
         rows = rng.standard_normal((6, 32)).astype(np.float32) * 0.4
         step_outs, _ = decode_mha(weights, rows)
         cache = KVCache(weights.config)
-        prefill_out = mha_forward(rows, weights.layers[0], cache, 0)
+        prefill_out = mha_forward(rows, weights.layers[0], cache, 0, singleton_tensors(weights))
         for i in range(6):
             np.testing.assert_allclose(prefill_out[i], step_outs[i][0], atol=1e-5)
 
@@ -120,8 +123,9 @@ class TestMhaForward:
             perturbed[p] += 1.0
             cache_a, cache_b = KVCache(weights.config), KVCache(weights.config)
             trace_a, trace_b = AttentionTrace(2, 4), AttentionTrace(2, 4)
-            out_a = mha_forward(rows, weights.layers[0], cache_a, 0, trace_a)
-            out_b = mha_forward(perturbed, weights.layers[0], cache_b, 0, trace_b)
+            tensors = singleton_tensors(weights)
+            out_a = mha_forward(rows, weights.layers[0], cache_a, 0, tensors, trace_a)
+            out_b = mha_forward(perturbed, weights.layers[0], cache_b, 0, tensors, trace_b)
             np.testing.assert_array_equal(out_a[:p], out_b[:p])
             for head in range(4):
                 for step in range(1, p + 1):
@@ -134,10 +138,11 @@ class TestMhaForward:
         cache = KVCache(weights.config)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 32)).astype(np.float32)
-        mha_forward(x, weights.layers[0], cache, 0)
+        tensors = singleton_tensors(weights)
+        mha_forward(x, weights.layers[0], cache, 0, tensors)
         pruned = prune_cache(cache, grouped_plan(2, 4, [2, 2]))
         with pytest.raises(ModeMismatchError):
-            mha_forward(x, weights.layers[0], pruned, 0)
+            mha_forward(x, weights.layers[0], pruned, 0, tensors)
 
 
 class TestPrefillOracle:
@@ -147,16 +152,34 @@ class TestPrefillOracle:
     @pytest.mark.parametrize("prior", [0, 9])
     @pytest.mark.parametrize("tokens", [1, 2, 7, 64, 65, 130])
     def test_byte_equal_to_reference(self, tokens, prior):
-        weights = small_weights(seed=21, max_seq_len=160)
+        self._check(tokens, prior, max_seq_len=160)
+
+    @pytest.mark.parametrize("prior", [0, 9])
+    def test_ragged_head_groups_byte_equal_to_reference(self, prior):
+        # a prompt whose four heads fall into groups of 3 and 1
+        tokens = math.isqrt(attention_mod.SCORE_BUFFER_BYTES // (4 * 3)) - prior
+        assert attention_mod.SCORE_BUFFER_BYTES // (4 * tokens * (prior + tokens)) == 3
+        self._check(tokens, prior, max_seq_len=prior + tokens)
+
+    def _check(self, tokens, prior, max_seq_len):
+        weights = small_weights(seed=21, max_seq_len=max_seq_len)
+        tensors = singleton_tensors(weights)
         rng = np.random.default_rng(tokens * 100 + prior)
         chunks = [
             rng.standard_normal((n, 32)).astype(np.float32) for n in (prior, tokens) if n
         ]
+
+        def kernel(x, cache, trace):
+            return mha_forward(x, weights.layers[1], cache, 1, tensors, trace)
+
+        def reference(x, cache, trace):
+            return reference_mha_forward(x, weights.layers[1], cache, 1, trace)
+
         runs = []
-        for forward in (mha_forward, reference_mha_forward):
+        for forward in (kernel, reference):
             cache = KVCache(weights.config)
             trace = AttentionTrace(2, 4)
-            outs = [forward(x, weights.layers[1], cache, 1, trace) for x in chunks]
+            outs = [forward(x, cache, trace) for x in chunks]
             runs.append((outs, cache.layers[1], trace))
         (got, got_cache, got_trace), (want, want_cache, want_trace) = runs
 
@@ -285,9 +308,9 @@ class TestClusteredForward:
         seen = []
         real = attention_mod.softmax_rows
 
-        def spy(m, causal_from=None):
+        def spy(m, causal_from=None, out=None):
             seen.append(m.shape[0])
-            return real(m, causal_from)
+            return real(m, causal_from, out=out)
 
         monkeypatch.setattr(attention_mod, "softmax_rows", spy)
         self._run_both(weights, plan, steps=4)
@@ -321,13 +344,37 @@ class TestClusteredForward:
             )
 
 
+    @pytest.mark.parametrize("prune_values", [False, True])
+    def test_several_rows_under_clustered_plan_rejected_before_caching(self, prune_values):
+        weights = small_weights(seed=7)
+        rng = np.random.default_rng(1)
+        cache = KVCache(weights.config)
+        clustered_forward(
+            rng.standard_normal((1, 32)).astype(np.float32),
+            weights.layers[0], cache, 0, singleton_tensors(weights),
+        )
+        plan = grouped_plan(2, 4, [2, 2])
+        cache = prune_cache(cache, plan, prune_values=prune_values)
+        tensors = PlanTensors(
+            plan, weights.layers, weights.config.head_dim, prune_values=prune_values
+        )
+        before = cache.layers[0].keys.copy(), cache.layers[0].values.copy()
+        x = rng.standard_normal((3, 32)).astype(np.float32)
+        with pytest.raises(ContractError, match="only the singleton plan"):
+            clustered_forward(x, weights.layers[0], cache, 0, tensors)
+        assert cache.layers[0].length == 1
+        assert cache.layers[0].keys.tobytes() == before[0].tobytes()
+        assert cache.layers[0].values.tobytes() == before[1].tobytes()
+
+
 class TestPruneCache:
     def _filled_cache(self, weights, tokens=5, seed=0):
         cache = KVCache(weights.config)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((tokens, 32)).astype(np.float32)
+        tensors = singleton_tensors(weights)
         for layer in range(weights.config.num_layers):
-            mha_forward(x, weights.layers[layer], cache, layer)
+            mha_forward(x, weights.layers[layer], cache, layer, tensors)
         return cache
 
     def test_singleton_plan_keeps_everything(self):
@@ -358,7 +405,7 @@ class TestPruneCache:
         cache = KVCache(config)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((100, 64)).astype(np.float32)
-        mha_forward(x, weights.layers[0], cache, 0)
+        mha_forward(x, weights.layers[0], cache, 0, singleton_tensors(weights))
         assert len(cache.layers[0].stored_key_heads) * cache.length == 3200
         plan = grouped_plan(1, 32, [18])
         pruned = prune_cache(cache, plan)
@@ -427,9 +474,10 @@ class TestTrace:
         rng = np.random.default_rng(6)
         rows = rng.standard_normal((4, 32)).astype(np.float32)
         cache = KVCache(weights.config)
+        tensors = singleton_tensors(weights)
         for row in rows:
             for layer in range(2):
-                mha_forward(row[None, :], weights.layers[layer], cache, layer, trace)
+                mha_forward(row[None, :], weights.layers[layer], cache, layer, tensors, trace)
         path = tmp_path / "trace.csv"
         export_trace_csv(trace, path)
         loaded = load_trace_csv(path)

@@ -361,10 +361,13 @@ class TestAnalyze:
             ("missing_head", "layer 0, step 8 has no head 1"),
             ("missing_step", "layer 0 has step 8 of 11 positions where step 7 of 10"),
             ("short_step", "layer 0 has step 8 of 10 positions where step 8 of 11"),
+            ("header_only", "has no rows"),
+            ("layers_stop_apart", "layer 1 has steps 1..3 where layer 0 has steps 1..12"),
         ],
         ids=[
             "no_position_column", "non_numeric_probability", "missing_position",
-            "short_row", "missing_head", "missing_step", "short_step",
+            "short_row", "missing_head", "missing_step", "short_step", "header_only",
+            "layers_stop_apart",
         ],
     )
     def test_malformed_trace_is_usage_error(self, tmp_path, capsys, defect, message):
@@ -375,6 +378,8 @@ class TestAnalyze:
             "missing_head": lambda f: f[:3] == ["0", "1", "8"],
             "missing_step": lambda f: f[0] == "0" and f[2] == "7",
             "short_step": lambda f: f[0] == "0" and f[2:4] == ["8", "10"],
+            "header_only": lambda f: f[0] != "layer",
+            "layers_stop_apart": lambda f: f[0] == "1" and int(f[2]) > 3,
         }
         trace_path, _ = self._trace_from_fixture(tmp_path)
         lines = trace_path.read_text().splitlines()
@@ -391,6 +396,7 @@ class TestAnalyze:
                 "--out", str(tmp_path / "out"),
             ]) == 2
             assert message in capsys.readouterr().err
+            assert not (tmp_path / "out" / f"{what}.csv").exists()
 
     def test_stability_idempotent(self, tmp_path):
         trace_path, ppath = self._trace_from_fixture(tmp_path)
@@ -479,6 +485,56 @@ class TestExitCodes:
         assert "--trace" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "trace.csv").exists()
+
+
+def exit_code(argv) -> int:
+    """main's exit code, whether it returns one or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestNegativeInputs:
+    @pytest.mark.parametrize(
+        "command",
+        ["init", "calibrate", "generate", "compare", "bench", "elbow", "stability", "seq_lens"],
+    )
+    def test_negative_seed_or_length_is_usage_error(self, tmp_path, capsys, command):
+        wpath, ppath, _, _ = write_fixture_model(tmp_path)
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([[1, 2, 3, 4, 5, 6]] * 3))
+        trace = tmp_path / "trace.csv"
+        prompt = tmp_path / "prompt.bin"
+        np.array([1, 2, 3], dtype="<i4").tofile(prompt)
+        assert main([
+            "generate", "--weights", str(wpath), "--prompt", str(prompt), "--steps", "6",
+            "--trace", str(trace), "--out", str(tmp_path / "mha.json"),
+        ]) == 0
+        model, out = ["--weights", str(wpath)], ["--out", str(tmp_path / "out")]
+        clustered = [*model, "--profile", str(ppath), "--prompt", str(prompt), "--steps", "8"]
+        argv = {
+            "init": ["init", "--layers", "1", "--heads", "2", "--head-dim", "2", *out],
+            "calibrate": ["calibrate", *model, "--corpus", str(corpus), "--samples", "2", *out],
+            "generate": ["generate", "--mode", "CHAI", *clustered, *out],
+            "compare": ["compare", *clustered, *out],
+            "bench": [
+                "bench", *model, "--profile", str(ppath), "--seq-lens", "4", "--repeats", "1",
+                *out,
+            ],
+            "elbow": ["analyze", "--trace", str(trace), "--what", "elbow", *out],
+            "stability": [
+                "analyze", "--trace", str(trace), "--what", "stability",
+                "--profile", str(ppath), *out,
+            ],
+        }
+        if command == "seq_lens":
+            args, flag = argv["bench"][:-2] + ["--seq-lens=-5", *out], "--seq-lens"
+        else:
+            args, flag = argv[command] + ["--seed", "-1"], "--seed"
+        assert exit_code(args) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCompare:

@@ -22,6 +22,7 @@ from helpers import (
     fixture_profile,
     random_prompt,
     redundant_fixture,
+    singleton_tensors,
     small_config,
     small_weights,
 )
@@ -42,7 +43,8 @@ class TestForwardPass:
         weights = small_weights(seed=1)
         for length in (1, 3, 9):
             cache = KVCache(weights.config)
-            logits = prefill(weights, random_prompt(weights.config, length, seed=length), cache)
+            prompt = random_prompt(weights.config, length, seed=length)
+            logits = prefill(weights, prompt, cache, singleton_tensors(weights))
             assert logits.shape == (weights.config.vocab_size,)
             assert np.all(np.isfinite(logits))
 

@@ -158,12 +158,25 @@ class TestSoftmaxRowsOut:
         assert np.all(out[masked] == 0.0) and not np.any(np.signbit(out[masked]))
         assert np.all(out[~masked] > 0.0)
 
+    @pytest.mark.parametrize("causal_from", CASES)
+    def test_stack_slices_equal_matrix_calls(self, causal_from):
+        seeds = (13, 14, 15)
+        stack = np.stack([self.scores(seed=seed) for seed in seeds])
+        out = softmax_rows(stack, causal_from, out=stack)
+        assert out is stack and out.shape == (3, 12, 21)
+        for seed, got in zip(seeds, out):
+            assert got.tobytes() == softmax_rows(self.scores(seed=seed), causal_from).tobytes()
+        if causal_from is not None:
+            masked = np.arange(21)[None, :] > causal_from + np.arange(12)[:, None]
+            assert np.all(out[:, masked] == 0.0) and not np.any(np.signbit(out[:, masked]))
+
     @pytest.mark.parametrize(
         "scores, causal_from, error",
         [
             (np.ones((3, 4), dtype=np.float32), -1, ContractError),
             (np.ones((3, 0), dtype=np.float32), None, ContractError),
             (np.ones(4, dtype=np.float32), None, ShapeError),
+            (np.ones((1, 2, 3, 4), dtype=np.float32), None, ShapeError),
         ],
     )
     def test_errors_raised_before_out_is_written(self, scores, causal_from, error):

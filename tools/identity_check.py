@@ -32,10 +32,13 @@ CLUSTERED = MODES[1:]
 TEXT = "Clustered heads share one attention row per cluster."
 BENCH_COLUMNS = ("mode", "seq_len", "flops", "kv_bytes", "savings_fraction")
 
-# (name, prompt flags, steps, profile, extra flags); long.bin holds 300 tokens
+# (name, prompt flags, steps, profile, extra flags); long.bin holds 300
+# tokens, ragged.bin 280: with a 1 MiB score budget the 8-head model
+# prefills them in head groups of 2, 2, 2, 2 and of 3, 3, 2
 INPUTS = (
     ("text", ["--text", TEXT], 24, "w5", []),
     ("long", ["--prompt", "long.bin"], 24, "w5", []),
+    ("ragged", ["--prompt", "ragged.bin"], 8, "w5", []),
     ("one_byte", ["--text", "a"], 9, "w5", ["--identify-at", "3"]),
     ("three_bytes", ["--text", "abc"], 4, "w5", []),
     ("window1", ["--text", TEXT], 12, "w1", ["--identify-at", "1"]),
@@ -81,6 +84,8 @@ def run_pipeline(src: Path, work: Path) -> dict[str, bytes]:
     (work / "corpus.json").write_text(json.dumps(corpus))
     long_prompt = [(7 * t + 5) % 256 for t in range(300)]
     (work / "long.bin").write_bytes(struct.pack("<300i", *long_prompt))
+    ragged_prompt = [(11 * t + 3) % 256 for t in range(280)]
+    (work / "ragged.bin").write_bytes(struct.pack("<280i", *ragged_prompt))
     for window in ("5", "1"):
         _chai(src, work, "calibrate", "--weights", "weights.bin", "--corpus", "corpus.json",
               "--window", window, "--out", f"w{window}.json")
