@@ -2,7 +2,7 @@
 
 Conventions (documented so the numbers are auditable): a multiply-add counts
 as 2 FLOPs; softmax costs 5 FLOPs per element (max-subtract, exp, sum,
-divide, amortized bookkeeping). Cache bytes default to 2-byte elements (fp16
+divide, amortized bookkeeping). Cache bytes count 2-byte elements (fp16
 storage model) even though compute runs in float32.
 
 `seq_len` always means the number of cached positions a step attends over,
@@ -19,7 +19,7 @@ from .plan import ClusterPlan
 
 MULTIPLY_ADD_FLOPS = 2
 SOFTMAX_FLOPS_PER_ELEMENT = 5
-DEFAULT_CACHE_WIDTH_BYTES = 2
+CACHE_WIDTH_BYTES = 2
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class LayerMemory:
 class MemoryReport:
     per_layer: tuple[LayerMemory, ...]
     seq_len: int
-    element_width_bytes: int
     baseline_bytes: int
 
     @property
@@ -58,7 +57,7 @@ class MemoryReport:
     def to_dict(self) -> dict:
         return {
             "seq_len": self.seq_len,
-            "element_width_bytes": self.element_width_bytes,
+            "element_width_bytes": CACHE_WIDTH_BYTES,
             "key_bytes": self.key_bytes,
             "value_bytes": self.value_bytes,
             "kv_total_bytes": self.kv_total_bytes,
@@ -155,19 +154,16 @@ def kv_cache_bytes(
     config: ModelConfig,
     plan: ClusterPlan | None,
     seq_len: int,
-    element_width_bytes: int = DEFAULT_CACHE_WIDTH_BYTES,
     prune_values: bool = False,
 ) -> MemoryReport:
     """Cache capacity at `seq_len` positions: keys from the stored key heads
     (representatives under a plan), values from all heads unless `prune_values`."""
-    if seq_len < 1 or element_width_bytes < 1:
-        raise ValidationError(
-            f"seq_len {seq_len} and element width {element_width_bytes} must be >= 1"
-        )
+    if seq_len < 1:
+        raise ValidationError(f"seq_len must be >= 1, got {seq_len}")
     if seq_len > config.max_seq_len:
         raise ValidationError(f"seq_len {seq_len} exceeds max_seq_len {config.max_seq_len}")
     heads = config.num_heads
-    per_position = config.head_dim * element_width_bytes
+    per_position = config.head_dim * CACHE_WIDTH_BYTES
     layers = []
     for k in _layer_cluster_counts(config, plan):
         value_heads = k if (prune_values and plan is not None) else heads
@@ -181,7 +177,6 @@ def kv_cache_bytes(
     return MemoryReport(
         per_layer=tuple(layers),
         seq_len=seq_len,
-        element_width_bytes=element_width_bytes,
         baseline_bytes=baseline,
     )
 

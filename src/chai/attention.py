@@ -7,10 +7,11 @@ representative's, and every head blends values with its slot's probability
 rows. Plain multi-head attention is the singleton plan (one head per slot),
 which prunes nothing and selects no weight columns; only under it does the
 kernel attend several causal rows at once, as prefill does. `mha_forward`,
-prefill's entry point, delegates to the kernel under that plan. Pruning
-physically drops key storage for non-representative heads; value rows are
-kept for every head, except under the value-reuse variant which stores only
-the representatives' values.
+prefill's entry point, delegates to the kernel under that plan.
+`PlanTensors` is the one definition of a plan's head layout: pruning copies
+exactly the key and value rows it names, which drops key storage for
+non-representative heads and, under the value-reuse variant only, their
+value rows too.
 
 Cache ownership: a KVCache belongs to exactly one in-flight request. Layer
 weights are read-only and shareable.
@@ -96,31 +97,22 @@ class KVCache:
         }
 
 
-def prune_cache(cache: KVCache, plan: ClusterPlan, prune_values: bool = False) -> KVCache:
-    """Drop key rows of non-representative heads; values are kept unless
-    `prune_values` (the value-reuse variant) is set. Returns a new cache;
-    the sequence length is unchanged."""
+def prune_cache(cache: KVCache, plan_tensors: PlanTensors) -> KVCache:
+    """Copy the key and value rows of the heads `plan_tensors` names
+    (`key_heads`, `value_heads`) into a new cache; the sequence length is
+    unchanged."""
     if cache.pruned:
         raise ContractError("cache is already pruned")
     config = cache.config
-    if plan.num_layers != config.num_layers:
-        raise ContractError(
-            f"plan covers {plan.num_layers} layers, cache has {config.num_layers}"
-        )
     pruned = KVCache.__new__(KVCache)
     pruned.config = config
     pruned.pruned = True
     pruned.layers = []
-    for lc, layer_plan in zip(cache.layers, plan.layers):
-        if layer_plan.num_heads != config.num_heads:
-            raise ContractError(
-                f"plan has {layer_plan.num_heads} heads, cache has {config.num_heads}"
-            )
-        reps = sorted(layer_plan.representatives)
-        value_heads = reps if prune_values else list(range(config.num_heads))
-        new_lc = LayerCache(reps, value_heads, config.max_seq_len, config.head_dim)
+    layouts = zip(cache.layers, plan_tensors.key_heads, plan_tensors.value_heads, strict=True)
+    for lc, key_heads, value_heads in layouts:
+        new_lc = LayerCache(key_heads, value_heads, config.max_seq_len, config.head_dim)
         # unpruned, so head h's planes sit in row h
-        new_lc.keys[:, : lc.length, :] = lc.keys[reps, : lc.length, :]
+        new_lc.keys[:, : lc.length, :] = lc.keys[key_heads, : lc.length, :]
         new_lc.values[:, : lc.length, :] = lc.values[value_heads, : lc.length, :]
         new_lc.length = lc.length
         pruned.layers.append(new_lc)
@@ -270,23 +262,34 @@ class PlanTensors:
     Per layer: the representatives' wq/wk columns in cluster order, the wv
     columns of the stored value heads, the cluster whose key each cache slot
     holds, the slot whose probability row each head uses, and the key and
-    value head lists the cache must store. Slots hold representatives in
-    ascending head order, as `prune_cache` leaves them. `prune_values`
-    selects the value-reuse variant: one value head per slot. Under the
-    singleton plan every column selection is the weight matrix itself.
+    value head lists the cache must store, which `prune_cache` copies. Slots
+    hold representatives in ascending head order. `prune_values` selects the
+    value-reuse variant: one value head per slot. Under the singleton plan
+    every column selection is the weight matrix itself. A plan whose layer or
+    head count differs from the weights' raises ContractError.
     """
 
     def __init__(
         self, plan: ClusterPlan, weights_layers, head_dim: int, prune_values: bool = False
     ):
+        if plan.num_layers != len(weights_layers):
+            raise ContractError(
+                f"plan covers {plan.num_layers} layers, the weights have {len(weights_layers)}"
+            )
+        self.plan = plan
         self.prune_values = prune_values
         self.wq, self.wk, self.wv = [], [], []
         self.cluster_of_slot, self.slot_of_head = [], []
         self.key_heads, self.value_heads = [], []
         for layer_weights, layer_plan in zip(weights_layers, plan.layers):
+            num_heads = layer_weights.wq.shape[1] // head_dim
+            if layer_plan.num_heads != num_heads:
+                raise ContractError(
+                    f"plan has {layer_plan.num_heads} heads, the weights have {num_heads}"
+                )
             reps = list(layer_plan.representatives)
             key_heads = sorted(reps)
-            value_heads = key_heads if prune_values else list(range(layer_plan.num_heads))
+            value_heads = key_heads if prune_values else list(range(num_heads))
             cluster_of_slot = np.array(
                 [layer_plan.assignment[h] for h in key_heads], dtype=np.intp
             )

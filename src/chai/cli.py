@@ -147,14 +147,24 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_elbow_csv(path, curves) -> None:
-    """One (layer, k, error) row per point of each layer's error curve."""
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["layer", "k", "error"])
-        for layer, curve in enumerate(curves):
-            for k, error in enumerate(curve, start=1):
-                writer.writerow([layer, k, repr(float(error))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_elbow_csv(path, curves) -> None:
+    """One (layer, k, error) row per point of each layer's error curve."""
+    _write_csv(
+        path,
+        ["layer", "k", "error"],
+        (
+            [layer, k, repr(float(error))]
+            for layer, curve in enumerate(curves)
+            for k, error in enumerate(curve, start=1)
+        ),
+    )
 
 
 def _load_prompt(args, config):
@@ -301,62 +311,38 @@ def cmd_bench(args) -> int:
             f"model has {config.max_seq_len}"
         )
 
+    def median_ms(result) -> float:
+        return statistics.median(result.step_ms[-args.repeats :])
+
     rows = []
-    mha_median = {}
-    mha_ttft = {}
     for seq_len in seq_lens:
         rng = np.random.default_rng(np.random.SeedSequence((args.seed, seq_len)))
         prompt = rng.integers(0, config.vocab_size, size=seq_len).tolist()
-        for mode in modes:
-            result = generate(
-                weights,
-                prompt,
-                steps,
-                mode,
-                profile=profile if mode != "MHA" else None,
-                identify_at=args.identify_at,
-                seed=args.seed,
-            )
-            tail = result.step_ms[-args.repeats :]
-            median_ms = statistics.median(tail)
-            if mode == "MHA":
-                mha_median[seq_len] = median_ms
-                mha_ttft[seq_len] = result.ttft_ms
-            rows.append(
-                {
-                    "mode": mode,
-                    "seq_len": seq_len,
-                    "ttft_ms": result.ttft_ms,
-                    "median_ms": median_ms,
-                    "flops": result.per_step_attention_flops[-1],
-                    "kv_bytes": result.per_step_kv_bytes[-1],
-                    "savings_fraction": result.memory_report.savings_fraction,
-                    "identification_ms": result.identification_ms,
-                }
-            )
-
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+        results = [
+            (mode, generate(weights, prompt, steps, mode, profile=profile,
+                            identify_at=args.identify_at, seed=args.seed))
+            for mode in modes
+        ]
+        base = dict(results).get("MHA")  # speedups are over this length's MHA run
+        rows += [
             [
-                "mode", "seq_len", "ttft_ms", "median_ms", "flops", "kv_bytes",
-                "savings_fraction", "identification_ms", "speedup", "ttft_speedup",
+                mode, seq_len, repr(result.ttft_ms), repr(median_ms(result)),
+                result.per_step_attention_flops[-1], result.per_step_kv_bytes[-1],
+                repr(result.memory_report.savings_fraction), repr(result.identification_ms),
+                repr(median_ms(base) / median_ms(result)) if base else "",
+                repr(base.ttft_ms / result.ttft_ms) if base else "",
             ]
-        )
-        for row in rows:
-            base_median = mha_median.get(row["seq_len"])
-            base_ttft = mha_ttft.get(row["seq_len"])
-            speedup = base_median / row["median_ms"] if base_median else ""
-            ttft_speedup = base_ttft / row["ttft_ms"] if base_ttft else ""
-            writer.writerow(
-                [
-                    row["mode"], row["seq_len"], repr(row["ttft_ms"]),
-                    repr(row["median_ms"]), row["flops"], row["kv_bytes"],
-                    repr(row["savings_fraction"]), repr(row["identification_ms"]),
-                    repr(speedup) if speedup != "" else "",
-                    repr(ttft_speedup) if ttft_speedup != "" else "",
-                ]
-            )
+            for mode, result in results
+        ]
+
+    _write_csv(
+        args.out,
+        [
+            "mode", "seq_len", "ttft_ms", "median_ms", "flops", "kv_bytes",
+            "savings_fraction", "identification_ms", "speedup", "ttft_speedup",
+        ],
+        rows,
+    )
     print(f"wrote {args.out}")
     return 0
 
@@ -382,13 +368,17 @@ def cmd_analyze(args) -> int:
             correlation_matrix(extract_features(trace, layer, (1, args.window)))
             for layer in range(trace.num_layers)
         ]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "head_i", "head_j", "correlation"])
-            for layer, corr in enumerate(matrices):
-                for i in range(trace.num_heads):
-                    for j in range(trace.num_heads):
-                        writer.writerow([layer, i, j, repr(float(corr[i, j]))])
+        heads = range(trace.num_heads)
+        _write_csv(
+            path,
+            ["layer", "head_i", "head_j", "correlation"],
+            (
+                [layer, i, j, repr(float(corr[i, j]))]
+                for layer, corr in enumerate(matrices)
+                for i in heads
+                for j in heads
+            ),
+        )
         print(f"wrote {path}")
         return 0
 
@@ -412,12 +402,15 @@ def cmd_analyze(args) -> int:
         to_step = args.to_step if args.to_step is not None else trace.max_step()
         steps, counts = membership_stability(trace, profile, from_step, to_step)
         path = out_dir / "stability.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "step", "changes"])
-            for layer in range(trace.num_layers):
-                for i, step in enumerate(steps):
-                    writer.writerow([layer, step, int(counts[layer, i])])
+        _write_csv(
+            path,
+            ["layer", "step", "changes"],
+            (
+                [layer, step, int(counts[layer, i])]
+                for layer in range(trace.num_layers)
+                for i, step in enumerate(steps)
+            ),
+        )
         print(f"wrote {path}")
         return 0
 

@@ -5,17 +5,21 @@ value-reuse variant, and offline calibration.
 Every forward pass goes through the one attention kernel,
 `clustered_forward`, under precomputed `PlanTensors`. Plain multi-head
 attention is the singleton plan (every head its own cluster): every mode
-prefills the prompt under it, through `mha_forward`, and MHA decodes under
-it. For the clustered modes the first `identify_at` decoded tokens run under
-that plan with tracing, then each layer's heads are clustered from those
-traced rows (k-means with the profile's per-layer cluster counts), the cache
-is pruned once, and the real plan's tensors replace the singleton's for every
-remaining step. The static variant skips identification and applies the
-profile's calibration-time assignment right after prefill.
+prefills the prompt under it, through `mha_forward`.
+
+Every request is two plan epochs. Decode steps 1..split run under the
+singleton plan over the unpruned cache; split is `steps` for MHA (the plan
+never freezes), 0 for the static variant and min(identify_at, steps) for
+the clustered modes, whose steps 1..split are traced. The plan freezes at
+one site, at the start of step split + 1: to the profile's calibration-time
+assignment for the static variant, or else to a clustering of each layer's
+heads from the traced rows (k-means with the profile's per-layer cluster
+counts). The frozen plan's tensors are built, the cache is pruned to the
+head layout they name, and they run every remaining step.
 
 The decode loop only decodes: per-step bytes, FLOPs and head counts are
-computed after it, once per plan epoch (the steps before and after the plan
-freezes), from that epoch's cache layout and the closed forms in `accounting`.
+computed after it, once per plan epoch, from that epoch's `PlanTensors` and
+the closed forms in `accounting`.
 
 Decode steps are numbered from 1; step s feeds generated token s and attends
 over prompt_len + s cached positions.
@@ -76,6 +80,17 @@ class CalibrationProfile:
     static_assignment: ClusterPlan
 
     def __post_init__(self):
+        def is_int(value) -> bool:
+            return isinstance(value, int) and not isinstance(value, bool)
+
+        if not is_int(self.seed) or self.seed < 0:
+            raise ValidationError(f"profile seed must be an integer >= 0, got {self.seed!r}")
+        if not is_int(self.window) or self.window < 1:
+            raise ValidationError(f"profile window must be an integer >= 1, got {self.window!r}")
+        if not all(is_int(k) for k in self.cluster_counts):
+            raise ValidationError(
+                f"profile cluster counts must be integers, got {list(self.cluster_counts)!r}"
+            )
         static_counts = self.static_assignment.cluster_counts()
         if static_counts != list(self.cluster_counts):
             raise ValidationError(
@@ -275,19 +290,18 @@ def _cluster_plan(layer_features, cluster_counts, seeds) -> ClusterPlan:
     return ClusterPlan(layers=tuple(layers))
 
 
-def _epoch_series(
-    config: ModelConfig, layout: dict, plan: ClusterPlan | None, reuse_values: bool,
-    seq_lens: range,
-):
+def _epoch_series(config: ModelConfig, tensors: PlanTensors, seq_lens: range):
     """Per-step KV bytes, attention FLOPs and per-layer stored key and value
-    head counts of the decode steps at `seq_lens`, all run under `plan` (None:
-    singleton) over one cache whose `summary()` is `layout`. FLOPs are affine
-    in seq_len under a fixed plan, so two closed-form evaluations give them all."""
-    key_heads = [len(layer["stored_key_heads"]) for layer in layout["layers"]]
-    value_heads = [len(layer["stored_value_heads"]) for layer in layout["layers"]]
-    vector_bytes = config.head_dim * accounting.DEFAULT_CACHE_WIDTH_BYTES
+    head counts of the decode steps at `seq_lens`, all run under `tensors`
+    over the cache layout they name. FLOPs are affine in seq_len under a
+    fixed plan, so two closed-form evaluations give them all."""
+    key_heads = [len(heads) for heads in tensors.key_heads]
+    value_heads = [len(heads) for heads in tensors.value_heads]
+    vector_bytes = config.head_dim * accounting.CACHE_WIDTH_BYTES
     flops = [
-        accounting.attention_flops(config, plan, n, reuse_values=reuse_values).total_flops
+        accounting.attention_flops(
+            config, tensors.plan, n, reuse_values=tensors.prune_values
+        ).total_flops
         for n in seq_lens[:2]
     ]
     slope = flops[1] - flops[0] if len(flops) == 2 else 0
@@ -320,46 +334,50 @@ def generate(
         _require_profile(config, mode, profile)
     reuse_values = mode == "CHAI_QKV"
 
+    # steps 1..split run under the singleton plan; see the module docstring
+    split = {"MHA": steps, "CHAI_STATIC": 0}.get(mode, min(identify_at, steps))
+
     cache = KVCache(config)
-    unpruned = cache.summary()  # the head layout until the plan freezes
-    plan_tensors = _singleton_tensors(weights)
-    plan: ClusterPlan | None = None
-    identified_at_step = None
+    epochs = [_singleton_tensors(weights)]
+    plan: ClusterPlan | None = None  # the frozen plan
     identification_ms = 0.0
-    will_identify = mode in ("CHAI", "CHAI_QKV") and steps > identify_at
 
     trace = None
-    if will_identify or (collect_trace and mode != "CHAI_STATIC"):
+    if split and (collect_trace or split < steps):
         trace = AttentionTrace(config.num_layers, config.num_heads, base_position=len(prompt))
 
     start = time.perf_counter()
-    logits = prefill(weights, prompt, cache, plan_tensors)
+    logits = prefill(weights, prompt, cache, epochs[0])
     prefill_ms = (time.perf_counter() - start) * 1000.0
     next_token = int(np.argmax(logits))
-
-    if mode == "CHAI_STATIC":
-        ident_start = time.perf_counter()
-        plan = profile.static_assignment
-        cache = prune_cache(cache, plan)
-        plan_tensors = PlanTensors(plan, weights.layers, config.head_dim)
-        identification_ms = (time.perf_counter() - ident_start) * 1000.0
-        identified_at_step = 0
 
     tokens: list[int] = []
     step_ms: list[float] = []
     collected_logits: list[np.ndarray] = []
 
     for step in range(1, steps + 1):
+        if step == split + 1:
+            ident_start = time.perf_counter()
+            if mode == "CHAI_STATIC":
+                plan = profile.static_assignment
+            else:
+                layers = range(config.num_layers)
+                plan = _cluster_plan(
+                    [extract_features(trace, layer, (1, split)) for layer in layers],
+                    profile.cluster_counts,
+                    [derived_seed(derived_seed(seed), layer) for layer in layers],
+                )
+            epochs.append(
+                PlanTensors(plan, weights.layers, config.head_dim, prune_values=reuse_values)
+            )
+            cache = prune_cache(cache, epochs[-1])
+            identification_ms = (time.perf_counter() - ident_start) * 1000.0
+
         tokens.append(next_token)
         step_start = time.perf_counter()
-        # rows are traced only under the singleton plan (MHA, identification)
         logits = _forward_pass(
-            weights,
-            [next_token],
-            cache,
-            clustered_forward,
-            plan_tensors,
-            trace=trace if plan is None else None,
+            weights, [next_token], cache, clustered_forward, epochs[-1],
+            trace=trace if step <= split else None,
         )
         next_token = int(np.argmax(logits))
         step_ms.append((time.perf_counter() - step_start) * 1000.0)
@@ -367,31 +385,13 @@ def generate(
         if collect_logits:
             collected_logits.append(logits.copy())
 
-        if will_identify and step == identify_at:
-            ident_start = time.perf_counter()
-            layers = range(config.num_layers)
-            plan = _cluster_plan(
-                [extract_features(trace, layer, (1, identify_at)) for layer in layers],
-                profile.cluster_counts,
-                [derived_seed(derived_seed(seed), layer) for layer in layers],
-            )
-            cache = prune_cache(cache, plan, prune_values=reuse_values)
-            plan_tensors = PlanTensors(
-                plan, weights.layers, config.head_dim, prune_values=reuse_values
-            )
-            identification_ms = (time.perf_counter() - ident_start) * 1000.0
-            identified_at_step = step
-
-    # steps 1..split ran under the singleton plan over the unpruned cache
-    split = steps if identified_at_step is None else identified_at_step
     seq_lens = range(len(prompt) + 1, len(prompt) + steps + 1)
-    final = cache.summary()
+    series = [
+        _epoch_series(config, tensors, lens)
+        for tensors, lens in zip(epochs, (seq_lens[:split], seq_lens[split:]))
+    ]
     per_step_kv_bytes, per_step_attention_flops, per_step_key_heads, per_step_value_heads = (
-        before + after
-        for before, after in zip(
-            _epoch_series(config, unpruned, None, reuse_values, seq_lens[:split]),
-            _epoch_series(config, final, plan, reuse_values, seq_lens[split:]),
-        )
+        sum(columns, []) for columns in zip(*series)
     )
     memory_report = accounting.kv_cache_bytes(config, plan, seq_lens[-1], prune_values=reuse_values)
     flop_report = accounting.attention_flops(
@@ -410,12 +410,12 @@ def generate(
         per_step_attention_flops=per_step_attention_flops,
         per_step_key_head_counts=per_step_key_heads,
         per_step_value_head_counts=per_step_value_heads,
-        kv_cache_summary=final,
+        kv_cache_summary=cache.summary(),
         memory_report=memory_report,
         flop_report=flop_report,
         trace=trace if collect_trace else None,
         logits=collected_logits if collect_logits else None,
-        identified_at_step=identified_at_step,
+        identified_at_step=None if plan is None else split,
     )
 
 
@@ -424,9 +424,7 @@ def _traced_prefix(weights: Weights, token_ids) -> AttentionTrace:
     step-s row then has length s, giving fixed-size calibration features."""
     config = weights.config
     trace = AttentionTrace(config.num_layers, config.num_heads)
-    _forward_pass(
-        weights, token_ids, KVCache(config), mha_forward, _singleton_tensors(weights), trace
-    )
+    prefill(weights, token_ids, KVCache(config), _singleton_tensors(weights), trace)
     return trace
 
 

@@ -103,6 +103,18 @@ class Weights:
     output_projection: np.ndarray  # (d, vocab)
 
 
+def _layer_tensors(config: ModelConfig) -> list[tuple[str, int, int]]:
+    """(name, rows, cols) of each LayerWeights tensor in field order, which is
+    also the draw order and the file order. Norm gains (names ending in
+    `_gain`) are (d,) vectors, stored as 1-row matrices."""
+    d, ffn = config.model_dim, config.ffn_dim
+    shapes = {"w_gate": (d, ffn), "w_up": (d, ffn), "w_down": (ffn, d)}
+    return [
+        (f.name, *((1, d) if f.name.endswith("_gain") else shapes.get(f.name, (d, d))))
+        for f in fields(LayerWeights)
+    ]
+
+
 def head_columns(w: np.ndarray, heads, head_dim: int) -> np.ndarray:
     """Column submatrix of `w` covering the given heads' blocks, in the order
     given. Returns `w` itself when the selection is all heads in order."""
@@ -145,23 +157,15 @@ def init_random(config: ModelConfig, seed: int) -> Weights:
         block = stream.uniform(rows * cols) * scale
         return block.astype(np.float32).reshape(rows, cols)
 
-    d, ffn, vocab = config.model_dim, config.ffn_dim, config.vocab_size
+    d, vocab = config.model_dim, config.vocab_size
     token_embedding = draw(vocab, d)
-    layers = []
-    for _ in range(config.num_layers):
-        layers.append(
-            LayerWeights(
-                attn_norm_gain=np.ones(d, dtype=np.float32),
-                wq=draw(d, d),
-                wk=draw(d, d),
-                wv=draw(d, d),
-                wo=draw(d, d),
-                mlp_norm_gain=np.ones(d, dtype=np.float32),
-                w_gate=draw(d, ffn),
-                w_up=draw(d, ffn),
-                w_down=draw(ffn, d),
-            )
-        )
+    layers = [
+        LayerWeights(**{
+            name: np.ones(cols, dtype=np.float32) if name.endswith("_gain") else draw(rows, cols)
+            for name, rows, cols in _layer_tensors(config)
+        })
+        for _ in range(config.num_layers)
+    ]
     return Weights(
         config=config,
         token_embedding=token_embedding,
@@ -191,19 +195,12 @@ def make_redundant(weights: Weights, plan: ClusterPlan) -> Weights:
             )
         # head h takes its cluster representative's block
         source = [layer_plan.representatives[c] for c in layer_plan.assignment]
-        out_layers.append(
-            LayerWeights(
-                attn_norm_gain=layer_weights.attn_norm_gain.copy(),
-                wq=_fresh_columns(layer_weights.wq, source, config.head_dim),
-                wk=_fresh_columns(layer_weights.wk, source, config.head_dim),
-                wv=layer_weights.wv.copy(),
-                wo=layer_weights.wo.copy(),
-                mlp_norm_gain=layer_weights.mlp_norm_gain.copy(),
-                w_gate=layer_weights.w_gate.copy(),
-                w_up=layer_weights.w_up.copy(),
-                w_down=layer_weights.w_down.copy(),
-            )
-        )
+        tensors = {}
+        for name, *_ in _layer_tensors(config):
+            w = getattr(layer_weights, name)
+            shared = name in ("wq", "wk")
+            tensors[name] = _fresh_columns(w, source, config.head_dim) if shared else w.copy()
+        out_layers.append(LayerWeights(**tensors))
     return Weights(
         config=config,
         token_embedding=weights.token_embedding.copy(),
@@ -215,20 +212,11 @@ def make_redundant(weights: Weights, plan: ClusterPlan) -> Weights:
 
 def _tensor_manifest(config: ModelConfig) -> list[tuple[str, int, int]]:
     """Ordered (name, rows, cols) entries; vectors are stored as 1-row matrices."""
-    d, ffn, vocab = config.model_dim, config.ffn_dim, config.vocab_size
+    d, vocab = config.model_dim, config.vocab_size
     entries = [("token_embedding", vocab, d)]
     for layer in range(config.num_layers):
-        prefix = f"layers.{layer}."
         entries += [
-            (prefix + "attn_norm_gain", 1, d),
-            (prefix + "wq", d, d),
-            (prefix + "wk", d, d),
-            (prefix + "wv", d, d),
-            (prefix + "wo", d, d),
-            (prefix + "mlp_norm_gain", 1, d),
-            (prefix + "w_gate", d, ffn),
-            (prefix + "w_up", d, ffn),
-            (prefix + "w_down", ffn, d),
+            (f"layers.{layer}.{name}", rows, cols) for name, rows, cols in _layer_tensors(config)
         ]
     entries.append(("final_norm_gain", 1, d))
     entries.append(("output_projection", d, vocab))
@@ -237,16 +225,10 @@ def _tensor_manifest(config: ModelConfig) -> list[tuple[str, int, int]]:
 
 def _tensors_in_order(weights: Weights):
     yield weights.token_embedding
+    names = [name for name, *_ in _layer_tensors(weights.config)]
     for layer_weights in weights.layers:
-        yield layer_weights.attn_norm_gain
-        yield layer_weights.wq
-        yield layer_weights.wk
-        yield layer_weights.wv
-        yield layer_weights.wo
-        yield layer_weights.mlp_norm_gain
-        yield layer_weights.w_gate
-        yield layer_weights.w_up
-        yield layer_weights.w_down
+        for name in names:
+            yield getattr(layer_weights, name)
     yield weights.final_norm_gain
     yield weights.output_projection
 
@@ -315,29 +297,20 @@ def load_weights(path) -> Weights:
     if offset != len(data):
         raise HeaderMismatchError(f"{len(data) - offset} trailing bytes after the payload")
 
-    def vec(name):
-        return arrays[name].reshape(-1)
+    def tensor(name):
+        # a norm gain is a vector, stored as a 1-row matrix
+        return arrays[name].reshape(-1) if name.endswith("_gain") else arrays[name]
 
     layers = [
-        LayerWeights(
-            attn_norm_gain=vec(f"layers.{i}.attn_norm_gain"),
-            wq=arrays[f"layers.{i}.wq"],
-            wk=arrays[f"layers.{i}.wk"],
-            wv=arrays[f"layers.{i}.wv"],
-            wo=arrays[f"layers.{i}.wo"],
-            mlp_norm_gain=vec(f"layers.{i}.mlp_norm_gain"),
-            w_gate=arrays[f"layers.{i}.w_gate"],
-            w_up=arrays[f"layers.{i}.w_up"],
-            w_down=arrays[f"layers.{i}.w_down"],
-        )
+        LayerWeights(**{name: tensor(f"layers.{i}.{name}") for name, *_ in _layer_tensors(config)})
         for i in range(config.num_layers)
     ]
     return Weights(
         config=config,
-        token_embedding=arrays["token_embedding"],
+        token_embedding=tensor("token_embedding"),
         layers=layers,
-        final_norm_gain=vec("final_norm_gain"),
-        output_projection=arrays["output_projection"],
+        final_norm_gain=tensor("final_norm_gain"),
+        output_projection=tensor("output_projection"),
     )
 
 

@@ -116,11 +116,14 @@ def acceptance_corpus(config, samples=8, length=10, seed=123):
     return [rng.integers(0, config.vocab_size, size=length).tolist() for _ in range(samples)]
 
 
+def plan_tensors(weights: Weights, plan: ClusterPlan, prune_values=False) -> PlanTensors:
+    return PlanTensors(plan, weights.layers, weights.config.head_dim, prune_values=prune_values)
+
+
 def singleton_tensors(weights: Weights) -> PlanTensors:
     """Plan tensors of the singleton plan: the engine's plain MHA decode."""
     config = weights.config
-    plan = ClusterPlan.singleton(config.num_layers, config.num_heads)
-    return PlanTensors(plan, weights.layers, config.head_dim)
+    return plan_tensors(weights, ClusterPlan.singleton(config.num_layers, config.num_heads))
 
 
 def reference_softmax_rows(scores, causal_from=None):

@@ -67,7 +67,7 @@ def test_criterion_2_kv_cache_byte_magnitude():
         num_layers=32, num_heads=32, model_dim=4096, head_dim=128,
         ffn_dim=11008, vocab_size=32000, max_seq_len=4096,
     )
-    report_bytes = kv_cache_bytes(config, None, 2048, element_width_bytes=2)
+    report_bytes = kv_cache_bytes(config, None, 2048)
     total = report_bytes.kv_total_bytes
     ok = total == 1_073_741_824 and abs(total - 1.2e9) / 1.2e9 < 0.15
     report(2, "7B-shape cache at 2048 tokens is exactly 1,073,741,824 bytes", ok,

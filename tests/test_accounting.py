@@ -17,7 +17,7 @@ def llama7b_shape():
 
 class TestKvCacheBytes:
     def test_llama_7b_shape_at_2048(self):
-        report = kv_cache_bytes(llama7b_shape(), None, 2048, element_width_bytes=2)
+        report = kv_cache_bytes(llama7b_shape(), None, 2048)
         assert report.kv_total_bytes == 1_073_741_824
         # within 15% of the published 1.2 GB figure for this shape
         assert abs(report.kv_total_bytes - 1.2e9) / 1.2e9 < 0.15
@@ -66,8 +66,6 @@ class TestKvCacheBytes:
     def test_zero_dims_rejected(self):
         with pytest.raises(ValidationError):
             kv_cache_bytes(small_config(), None, 0)
-        with pytest.raises(ValidationError):
-            kv_cache_bytes(small_config(), None, 8, element_width_bytes=0)
 
     def test_seq_len_beyond_capacity_rejected(self):
         with pytest.raises(ValidationError):

@@ -18,7 +18,9 @@ from chai.attention import (
 from chai.errors import ContractError, InsufficientTraceError, ModeMismatchError
 from chai.model import ModelConfig, init_random, make_redundant
 from chai.plan import ClusterPlan, LayerPlan
-from helpers import grouped_plan, reference_mha_forward, singleton_tensors, small_weights
+from helpers import (
+    grouped_plan, plan_tensors, reference_mha_forward, singleton_tensors, small_weights
+)
 
 
 def decode_mha(weights, x_rows, trace=None):
@@ -140,7 +142,7 @@ class TestMhaForward:
         x = rng.standard_normal((1, 32)).astype(np.float32)
         tensors = singleton_tensors(weights)
         mha_forward(x, weights.layers[0], cache, 0, tensors)
-        pruned = prune_cache(cache, grouped_plan(2, 4, [2, 2]))
+        pruned = prune_cache(cache, plan_tensors(weights, grouped_plan(2, 4, [2, 2])))
         with pytest.raises(ModeMismatchError):
             mha_forward(x, weights.layers[0], pruned, 0, tensors)
 
@@ -263,10 +265,8 @@ class TestClusteredForward:
         clustered_outs = [
             clustered_forward(rows[0][None, :], weights.layers[0], cache, 0, singleton)
         ]
-        cache = prune_cache(cache, plan, prune_values=reuse_values)
-        tensors = PlanTensors(
-            plan, weights.layers, weights.config.head_dim, prune_values=reuse_values
-        )
+        tensors = plan_tensors(weights, plan, prune_values=reuse_values)
+        cache = prune_cache(cache, tensors)
         for row in rows[1:]:
             clustered_outs.append(
                 clustered_forward(row[None, :], weights.layers[0], cache, 0, tensors)
@@ -324,7 +324,7 @@ class TestClusteredForward:
         x = rng.standard_normal((1, 32)).astype(np.float32)
         clustered_forward(x, weights.layers[0], cache, 0, singleton_tensors(weights))
         plan = grouped_plan(2, 4, [2, 2])
-        cache = prune_cache(cache, plan)
+        cache = prune_cache(cache, plan_tensors(weights, plan))
         other_plan = ClusterPlan(
             layers=(
                 LayerPlan(assignment=(0, 1, 1, 1), representatives=(0, 1)),
@@ -354,10 +354,8 @@ class TestClusteredForward:
             weights.layers[0], cache, 0, singleton_tensors(weights),
         )
         plan = grouped_plan(2, 4, [2, 2])
-        cache = prune_cache(cache, plan, prune_values=prune_values)
-        tensors = PlanTensors(
-            plan, weights.layers, weights.config.head_dim, prune_values=prune_values
-        )
+        tensors = plan_tensors(weights, plan, prune_values=prune_values)
+        cache = prune_cache(cache, tensors)
         before = cache.layers[0].keys.copy(), cache.layers[0].values.copy()
         x = rng.standard_normal((3, 32)).astype(np.float32)
         with pytest.raises(ContractError, match="only the singleton plan"):
@@ -380,7 +378,7 @@ class TestPruneCache:
     def test_singleton_plan_keeps_everything(self):
         weights = small_weights()
         cache = self._filled_cache(weights)
-        pruned = prune_cache(cache, ClusterPlan.singleton(2, 4))
+        pruned = prune_cache(cache, singleton_tensors(weights))
         for old, new in zip(cache.layers, pruned.layers):
             assert new.stored_key_heads == [0, 1, 2, 3]
             np.testing.assert_array_equal(new.live_keys(), old.live_keys())
@@ -388,7 +386,9 @@ class TestPruneCache:
 
     def test_single_cluster_keeps_one_key_head(self):
         weights = small_weights()
-        pruned = prune_cache(self._filled_cache(weights), grouped_plan(2, 4, [1, 1]))
+        pruned = prune_cache(
+            self._filled_cache(weights), plan_tensors(weights, grouped_plan(2, 4, [1, 1]))
+        )
         for lc in pruned.layers:
             assert len(lc.stored_key_heads) == 1
             assert len(lc.stored_value_heads) == 4
@@ -407,22 +407,24 @@ class TestPruneCache:
         x = rng.standard_normal((100, 64)).astype(np.float32)
         mha_forward(x, weights.layers[0], cache, 0, singleton_tensors(weights))
         assert len(cache.layers[0].stored_key_heads) * cache.length == 3200
-        plan = grouped_plan(1, 32, [18])
-        pruned = prune_cache(cache, plan)
+        pruned = prune_cache(cache, plan_tensors(weights, grouped_plan(1, 32, [18])))
         assert len(pruned.layers[0].stored_key_heads) * pruned.length == 1800
         assert len(pruned.layers[0].stored_value_heads) * pruned.length == 3200
 
     def test_double_pruning_rejected(self):
         weights = small_weights()
         cache = self._filled_cache(weights)
-        pruned = prune_cache(cache, grouped_plan(2, 4, [2, 2]))
+        tensors = plan_tensors(weights, grouped_plan(2, 4, [2, 2]))
+        pruned = prune_cache(cache, tensors)
         with pytest.raises(ContractError):
-            prune_cache(pruned, grouped_plan(2, 4, [2, 2]))
+            prune_cache(pruned, tensors)
 
     def test_prune_values_keeps_representatives_only(self):
         weights = small_weights()
         cache = self._filled_cache(weights)
-        pruned = prune_cache(cache, grouped_plan(2, 4, [2, 2]), prune_values=True)
+        pruned = prune_cache(
+            cache, plan_tensors(weights, grouped_plan(2, 4, [2, 2]), prune_values=True)
+        )
         for old, lc in zip(cache.layers, pruned.layers):
             assert lc.stored_value_heads == lc.stored_key_heads == [0, 2]
             np.testing.assert_array_equal(lc.live_keys(), old.live_keys()[[0, 2]])
@@ -430,13 +432,22 @@ class TestPruneCache:
 
     @pytest.mark.parametrize(
         "layers, heads, message",
-        [(1, 4, "plan covers 1 layers, cache has 2"), (2, 8, "plan has 8 heads, cache has 4")],
+        [
+            (1, 4, "plan covers 1 layers, the weights have 2"),
+            (2, 8, "plan has 8 heads, the weights have 4"),
+        ],
         ids=["other_layer_count", "other_head_count"],
     )
     def test_plan_for_other_model_rejected(self, layers, heads, message):
-        cache = self._filled_cache(small_weights())
+        # a plan reaches prune_cache only through the tensors built from it
         with pytest.raises(ContractError, match=message):
-            prune_cache(cache, grouped_plan(layers, heads, [2] * layers))
+            plan_tensors(small_weights(), grouped_plan(layers, heads, [2] * layers))
+
+    def test_tensors_for_other_layer_count_rejected(self):
+        cache = self._filled_cache(small_weights())
+        one_layer = small_weights(num_layers=1)
+        with pytest.raises(ValueError):
+            prune_cache(cache, plan_tensors(one_layer, grouped_plan(1, 4, [2])))
 
 
 class TestLayerCache:

@@ -398,6 +398,42 @@ class TestAnalyze:
             assert message in capsys.readouterr().err
             assert not (tmp_path / "out" / f"{what}.csv").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, command",
+        [
+            ("seed", -1, "stability"),
+            ("seed", "abc", "stability"),
+            ("seed", 1.5, "stability"),
+            ("window", "x", "stability"),
+            ("cluster_counts", [2.0, 2.0], "generate"),
+        ],
+        ids=["negative_seed", "text_seed", "fractional_seed", "text_window", "float_counts"],
+    )
+    def test_malformed_profile_scalar_is_usage_error(
+        self, tmp_path, capsys, field, value, command
+    ):
+        trace_path, ppath = self._trace_from_fixture(tmp_path)
+        profile = read_json(ppath)
+        profile[field] = value
+        ppath.write_text(json.dumps(profile))
+        out = tmp_path / "out"
+        if command == "generate":
+            code = main([
+                "generate", "--weights", str(tmp_path / "weights.bin"), "--mode", "CHAI",
+                "--profile", str(ppath), "--prompt", str(tmp_path / "prompt.bin"),
+                "--steps", "8", "--out", str(out),
+            ])
+            written = out
+        else:
+            code = main([
+                "analyze", "--trace", str(trace_path), "--what", "stability",
+                "--profile", str(ppath), "--out", str(out),
+            ])
+            written = out / "stability.csv"
+        assert code == 2
+        assert f"profile {field.replace('_', ' ')}" in capsys.readouterr().err
+        assert not written.exists()
+
     def test_stability_idempotent(self, tmp_path):
         trace_path, ppath = self._trace_from_fixture(tmp_path)
         outputs = []

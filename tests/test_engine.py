@@ -182,7 +182,9 @@ class TestGenerateChai:
         [
             pytest.param("MHA", 12, None, id="MHA"),
             pytest.param("CHAI", 12, 5, id="CHAI"),
+            pytest.param("CHAI", 6, 5, id="CHAI-one_frozen_step"),
             pytest.param("CHAI_STATIC", 12, 0, id="CHAI_STATIC"),
+            pytest.param("CHAI_STATIC", 1, 0, id="CHAI_STATIC-one_step"),
             pytest.param("CHAI_QKV", 12, 5, id="CHAI_QKV"),
             pytest.param("CHAI_QKV", 5, None, id="CHAI_QKV-skipped"),
         ],

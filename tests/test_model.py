@@ -114,10 +114,12 @@ class TestMakeRedundant:
 
 class TestWeightFile:
     def test_round_trip_bitwise(self, tmp_path):
-        weights = small_weights(seed=11)
-        path = tmp_path / "w.bin"
-        save_weights(weights, path)
-        assert weights_equal(load_weights(path), weights)
+        # ffn_dim=1 makes w_down a 1-row matrix, which must stay a matrix
+        for ffn_dim in (48, 1):
+            weights = small_weights(seed=11, ffn_dim=ffn_dim)
+            path = tmp_path / "w.bin"
+            save_weights(weights, path)
+            assert weights_equal(load_weights(path), weights)
 
     def test_round_trip_over_random_small_configs(self, tmp_path):
         rng = np.random.default_rng(0)

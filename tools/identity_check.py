@@ -34,9 +34,11 @@ BENCH_COLUMNS = ("mode", "seq_len", "flops", "kv_bytes", "savings_fraction")
 
 # (name, prompt flags, steps, profile, extra flags); long.bin holds 300
 # tokens, ragged.bin 280: with a 1 MiB score budget the 8-head model
-# prefills them in head groups of 2, 2, 2, 2 and of 3, 3, 2
+# prefills them in head groups of 2, 2, 2, 2 and of 3, 3, 2. boundary's
+# steps are identify_at + 1, so its frozen epoch is one step long.
 INPUTS = (
     ("text", ["--text", TEXT], 24, "w5", []),
+    ("boundary", ["--text", TEXT], 6, "w5", ["--identify-at", "5"]),
     ("long", ["--prompt", "long.bin"], 24, "w5", []),
     ("ragged", ["--prompt", "ragged.bin"], 8, "w5", []),
     ("one_byte", ["--text", "a"], 9, "w5", ["--identify-at", "3"]),
