@@ -1,4 +1,5 @@
-"""Closed-form FLOP and byte accounting for attention, plain or under a plan.
+"""Closed-form FLOP and byte accounting for attention under a head layout
+(`plan.HeadLayout`; plain attention is the singleton layout).
 
 Conventions (documented so the numbers are auditable): a multiply-add counts
 as 2 FLOPs; softmax costs 5 FLOPs per element (max-subtract, exp, sum,
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .model import ModelConfig
-from .plan import ClusterPlan
+from .plan import HeadLayout
 
 MULTIPLY_ADD_FLOPS = 2
 SOFTMAX_FLOPS_PER_ELEMENT = 5
@@ -140,73 +141,46 @@ class FlopReport:
         }
 
 
-def _layer_cluster_counts(config: ModelConfig, plan: ClusterPlan | None) -> list[int]:
-    if plan is None:
-        return [config.num_heads] * config.num_layers
-    if plan.num_layers != config.num_layers:
-        raise ValidationError(
-            f"plan covers {plan.num_layers} layers, config has {config.num_layers}"
-        )
-    return plan.cluster_counts()
-
-
-def kv_cache_bytes(
-    config: ModelConfig,
-    plan: ClusterPlan | None,
-    seq_len: int,
-    prune_values: bool = False,
-) -> MemoryReport:
-    """Cache capacity at `seq_len` positions: keys from the stored key heads
-    (representatives under a plan), values from all heads unless `prune_values`."""
+def kv_cache_bytes(config: ModelConfig, layout: HeadLayout, seq_len: int) -> MemoryReport:
+    """Cache capacity at `seq_len` positions: each layer's keys of the
+    layout's key heads and values of its value heads."""
     if seq_len < 1:
         raise ValidationError(f"seq_len must be >= 1, got {seq_len}")
     if seq_len > config.max_seq_len:
         raise ValidationError(f"seq_len {seq_len} exceeds max_seq_len {config.max_seq_len}")
-    heads = config.num_heads
     per_position = config.head_dim * CACHE_WIDTH_BYTES
-    layers = []
-    for k in _layer_cluster_counts(config, plan):
-        value_heads = k if (prune_values and plan is not None) else heads
-        layers.append(
-            LayerMemory(
-                key_bytes=k * seq_len * per_position,
-                value_bytes=value_heads * seq_len * per_position,
-            )
+    layers = tuple(
+        LayerMemory(
+            key_bytes=len(key_heads) * seq_len * per_position,
+            value_bytes=len(value_heads) * seq_len * per_position,
         )
-    baseline = config.num_layers * 2 * heads * seq_len * per_position
-    return MemoryReport(
-        per_layer=tuple(layers),
-        seq_len=seq_len,
-        baseline_bytes=baseline,
+        for key_heads, value_heads in zip(layout.key_heads, layout.value_heads)
+    )
+    baseline = config.num_layers * 2 * config.num_heads * seq_len * per_position
+    return MemoryReport(per_layer=layers, seq_len=seq_len, baseline_bytes=baseline)
+
+
+def _decode_layer_flops(config, key_count, value_count, seq_len) -> LayerFlops:
+    d, dh = config.model_dim, config.head_dim
+    ma = MULTIPLY_ADD_FLOPS
+    # Q and K projections cover only the computed (key) heads; V and O stay
+    # full. Probability rows blend every stored value head.
+    return LayerFlops(
+        projection_flops=ma * d * dh * key_count * 2 + ma * d * d * 2,
+        score_flops=ma * key_count * seq_len * dh,
+        softmax_flops=SOFTMAX_FLOPS_PER_ELEMENT * key_count * seq_len,
+        av_flops=ma * value_count * seq_len * dh,
     )
 
 
-def _decode_layer_flops(config, k, seq_len, reuse_values):
-    d, dh, heads = config.model_dim, config.head_dim, config.num_heads
-    ma = MULTIPLY_ADD_FLOPS
-    # Q and K projections cover only the k computed heads; V and O stay full.
-    projection = ma * d * dh * k * 2 + ma * d * d * 2
-    score = ma * k * seq_len * dh
-    softmax = SOFTMAX_FLOPS_PER_ELEMENT * k * seq_len
-    av_heads = k if reuse_values else heads
-    av = ma * av_heads * seq_len * dh
-    return projection, score, softmax, av
-
-
-def attention_flops(
-    config: ModelConfig,
-    plan: ClusterPlan | None,
-    seq_len: int,
-    reuse_values: bool = False,
-) -> FlopReport:
+def attention_flops(config: ModelConfig, layout: HeadLayout, seq_len: int) -> FlopReport:
     """Attention FLOPs for one decode step at `seq_len` cached positions."""
     if seq_len < 1:
         raise ValidationError(f"seq_len must be >= 1, got {seq_len}")
-    reuse = reuse_values and plan is not None
-    per_layer = [
-        LayerFlops(*_decode_layer_flops(config, k, seq_len, reuse))
-        for k in _layer_cluster_counts(config, plan)
-    ]
-    plain = LayerFlops(*_decode_layer_flops(config, config.num_heads, seq_len, False))
-    baseline = config.num_layers * plain.total
-    return FlopReport(per_layer=tuple(per_layer), seq_len=seq_len, baseline_flops=baseline)
+    per_layer = tuple(
+        _decode_layer_flops(config, len(key_heads), len(value_heads), seq_len)
+        for key_heads, value_heads in zip(layout.key_heads, layout.value_heads)
+    )
+    heads = config.num_heads
+    baseline = config.num_layers * _decode_layer_flops(config, heads, heads, seq_len).total
+    return FlopReport(per_layer=per_layer, seq_len=seq_len, baseline_flops=baseline)

@@ -8,10 +8,11 @@ rows. Plain multi-head attention is the singleton plan (one head per slot),
 which prunes nothing and selects no weight columns; only under it does the
 kernel attend several causal rows at once, as prefill does. `mha_forward`,
 prefill's entry point, delegates to the kernel under that plan.
-`PlanTensors` is the one definition of a plan's head layout: pruning copies
-exactly the key and value rows it names, which drops key storage for
-non-representative heads and, under the value-reuse variant only, their
-value rows too.
+The head layout (`plan.HeadLayout`) says which key and value heads a cache
+stores: a `KVCache` is built in one, `prune_cache` copies exactly the rows a
+frozen plan's layout names, which drops key storage for non-representative
+heads and, under the value-reuse variant only, their value rows too, and
+`PlanTensors` gathers only the weight columns the layout reads.
 
 Cache ownership: a KVCache belongs to exactly one in-flight request. Layer
 weights are read-only and shareable.
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .kernels import apply_rope_heads, matmul, softmax_rows
 from .model import LayerWeights, ModelConfig, head_columns
-from .plan import ClusterPlan
+from .plan import HeadLayout
 
 # Budget for one slot group's float32 (G, T, S) score buffer during prefill;
 # at 1 MiB a 512-token prompt keeps one head per group.
@@ -70,14 +71,18 @@ class LayerCache:
 
 
 class KVCache:
-    def __init__(self, config: ModelConfig):
+    """One LayerCache per layer, storing the heads `layout` names (by default
+    the singleton layout's: every head). `pruned` marks a cache made by
+    `prune_cache`."""
+
+    def __init__(self, config: ModelConfig, layout: HeadLayout | None = None, pruned=False):
         self.config = config
-        all_heads = list(range(config.num_heads))
+        self.pruned = pruned
+        layout = layout or HeadLayout.singleton(config)
         self.layers = [
-            LayerCache(all_heads, all_heads, config.max_seq_len, config.head_dim)
-            for _ in range(config.num_layers)
+            LayerCache(key_heads, value_heads, config.max_seq_len, config.head_dim)
+            for key_heads, value_heads in zip(layout.key_heads, layout.value_heads)
         ]
-        self.pruned = False
 
     @property
     def length(self) -> int:
@@ -97,26 +102,30 @@ class KVCache:
         }
 
 
-def prune_cache(cache: KVCache, plan_tensors: PlanTensors) -> KVCache:
-    """Copy the key and value rows of the heads `plan_tensors` names
-    (`key_heads`, `value_heads`) into a new cache; the sequence length is
-    unchanged."""
+def prune_cache(cache: KVCache, layout: HeadLayout) -> KVCache:
+    """A new cache in `layout` holding the unpruned `cache`'s rows of the key
+    and value heads the layout names; the sequence length is unchanged."""
     if cache.pruned:
         raise ContractError("cache is already pruned")
-    config = cache.config
-    pruned = KVCache.__new__(KVCache)
-    pruned.config = config
-    pruned.pruned = True
-    pruned.layers = []
-    layouts = zip(cache.layers, plan_tensors.key_heads, plan_tensors.value_heads, strict=True)
-    for lc, key_heads, value_heads in layouts:
-        new_lc = LayerCache(key_heads, value_heads, config.max_seq_len, config.head_dim)
+    pruned = KVCache(cache.config, layout, pruned=True)
+    for lc, new_lc in zip(cache.layers, pruned.layers, strict=True):
         # unpruned, so head h's planes sit in row h
-        new_lc.keys[:, : lc.length, :] = lc.keys[key_heads, : lc.length, :]
-        new_lc.values[:, : lc.length, :] = lc.values[value_heads, : lc.length, :]
+        new_lc.keys[:, : lc.length, :] = lc.keys[new_lc.stored_key_heads, : lc.length, :]
+        new_lc.values[:, : lc.length, :] = lc.values[new_lc.stored_value_heads, : lc.length, :]
         new_lc.length = lc.length
-        pruned.layers.append(new_lc)
     return pruned
+
+
+def _probability_row_problem(row: np.ndarray) -> str | None:
+    """What keeps `row` from being a probability row, or None: every entry
+    must be finite and in [0, 1], and the row sum within 1e-5 of 1."""
+    low, high = float(row.min()), float(row.max())
+    if not 0.0 <= low <= high <= 1.0:  # NaN fails every comparison
+        return f"has probability {high if 0.0 <= low else low} outside [0, 1]"
+    total = float(row.sum())
+    if abs(total - 1.0) > 1e-5:
+        return f"sums to {total}, not 1"
+    return None
 
 
 class AttentionTrace:
@@ -139,9 +148,11 @@ class AttentionTrace:
         step = position + 1 - self.base_position
         if step < 1:
             return
-        total = float(row.sum())
-        if not math.isfinite(total) or abs(total - 1.0) > 1e-5:
-            raise ContractError(f"attention row sums to {total}, not 1")
+        problem = _probability_row_problem(row)
+        if problem:
+            raise ContractError(
+                f"attention row of layer {layer}, head {head}, step {step} {problem}"
+            )
         self._rows.setdefault((layer, head), {})[step] = np.asarray(row, dtype=np.float32).copy()
 
     def row(self, layer: int, head: int, step: int) -> np.ndarray:
@@ -179,8 +190,9 @@ def load_trace_csv(path) -> AttentionTrace:
     """Read a trace CSV written by `export_trace_csv`. A file without rows, a
     missing column or head, a non-numeric field, positions other than
     0..n-1, rows of unequal length at one (layer, step), a layer whose steps
-    are not consecutive with rows one position longer each step, or layers
-    covering different steps raise ValidationError."""
+    are not consecutive with rows one position longer each step, layers
+    covering different steps, or a row that is not a probability row (the
+    check `AttentionTrace.record` makes) raise ValidationError."""
 
     def malformed(problem: str) -> ValidationError:
         return ValidationError(f"trace {path}: {problem}")
@@ -238,6 +250,11 @@ def load_trace_csv(path) -> AttentionTrace:
     for layer in range(1, trace.num_layers):
         if trace.steps(layer) != trace.steps(0):
             raise malformed(f"layer {layer} has {span(layer)} where layer 0 has {span(0)}")
+    for (layer, head), steps in sorted(trace._rows.items()):
+        for step, row in steps.items():
+            problem = _probability_row_problem(row)
+            if problem:
+                raise malformed(f"row of layer {layer}, head {head}, step {step} {problem}")
     return trace
 
 
@@ -257,51 +274,21 @@ def _to_cache_layout(block: np.ndarray) -> np.ndarray:
 
 
 class PlanTensors:
-    """Everything a forward pass needs from a frozen plan, built once per plan.
-
-    Per layer: the representatives' wq/wk columns in cluster order, the wv
-    columns of the stored value heads, the cluster whose key each cache slot
-    holds, the slot whose probability row each head uses, and the key and
-    value head lists the cache must store, which `prune_cache` copies. Slots
-    hold representatives in ascending head order. `prune_values` selects the
-    value-reuse variant: one value head per slot. Under the singleton plan
-    every column selection is the weight matrix itself. A plan whose layer or
-    head count differs from the weights' raises ContractError.
+    """The weight columns a forward pass reads under `layout`, gathered once
+    per plan: per layer, the representatives' wq/wk columns in cluster order
+    and the wv columns of the layout's value heads. Under the singleton
+    layout every column selection is the weight matrix itself.
     """
 
-    def __init__(
-        self, plan: ClusterPlan, weights_layers, head_dim: int, prune_values: bool = False
-    ):
-        if plan.num_layers != len(weights_layers):
-            raise ContractError(
-                f"plan covers {plan.num_layers} layers, the weights have {len(weights_layers)}"
-            )
-        self.plan = plan
-        self.prune_values = prune_values
+    def __init__(self, layout: HeadLayout, weights_layers, head_dim: int):
+        self.layout = layout
         self.wq, self.wk, self.wv = [], [], []
-        self.cluster_of_slot, self.slot_of_head = [], []
-        self.key_heads, self.value_heads = [], []
-        for layer_weights, layer_plan in zip(weights_layers, plan.layers):
-            num_heads = layer_weights.wq.shape[1] // head_dim
-            if layer_plan.num_heads != num_heads:
-                raise ContractError(
-                    f"plan has {layer_plan.num_heads} heads, the weights have {num_heads}"
-                )
-            reps = list(layer_plan.representatives)
-            key_heads = sorted(reps)
-            value_heads = key_heads if prune_values else list(range(num_heads))
-            cluster_of_slot = np.array(
-                [layer_plan.assignment[h] for h in key_heads], dtype=np.intp
-            )
-            slot_of_cluster = np.empty(len(reps), dtype=np.intp)
-            slot_of_cluster[cluster_of_slot] = np.arange(len(reps))
+        per_layer = zip(weights_layers, layout.plan.layers, layout.value_heads, strict=True)
+        for layer_weights, layer_plan, value_heads in per_layer:
+            reps = layer_plan.representatives
             self.wq.append(head_columns(layer_weights.wq, reps, head_dim))
             self.wk.append(head_columns(layer_weights.wk, reps, head_dim))
             self.wv.append(head_columns(layer_weights.wv, value_heads, head_dim))
-            self.cluster_of_slot.append(cluster_of_slot)
-            self.slot_of_head.append(slot_of_cluster[np.asarray(layer_plan.assignment)])
-            self.key_heads.append(key_heads)
-            self.value_heads.append(value_heads)
 
 
 def clustered_forward(
@@ -328,7 +315,8 @@ def clustered_forward(
     num_heads, head_dim = config.num_heads, config.head_dim
     lc = cache.layers[layer]
     pt = plan_tensors
-    expected = (pt.key_heads[layer], pt.value_heads[layer])
+    layout = pt.layout
+    expected = (layout.key_heads[layer], layout.value_heads[layer])
     if (lc.stored_key_heads, lc.stored_value_heads) != expected:
         raise ModeMismatchError(
             f"cache stores key heads {lc.stored_key_heads} and value heads "
@@ -346,8 +334,8 @@ def clustered_forward(
 
     start = lc.length
     scale = _head_scale(head_dim)
-    cluster_of_slot = pt.cluster_of_slot[layer]
-    slot_of_head = pt.slot_of_head[layer]
+    cluster_of_slot = layout.cluster_of_slot[layer]
+    slot_of_head = layout.slot_of_head[layer]
 
     # projections land in cluster-id order (one column block per cluster)
     queries = apply_rope_heads(_project_heads(x, pt.wq[layer], head_dim), start)
@@ -373,7 +361,7 @@ def clustered_forward(
         softmax_rows(probs, causal_from=start, out=probs)
         if slots == num_heads:  # slot s holds head s
             np.matmul(probs, live_values[lo:hi], out=head_outputs[lo:hi])
-        elif pt.prune_values:
+        elif layout.reuse_values:
             head_outputs[:] = np.matmul(probs, live_values)[slot_of_head]
         else:
             np.matmul(probs[slot_of_head], live_values, out=head_outputs)
@@ -398,7 +386,7 @@ def mha_forward(
     `clustered_forward` under the singleton plan, whose `plan_tensors` the
     caller builds once per request. The entry point of prefill and of
     calibration prefixes."""
-    if len(plan_tensors.key_heads[layer]) != cache.config.num_heads:
+    if len(plan_tensors.layout.key_heads[layer]) != cache.config.num_heads:
         raise ContractError("mha_forward runs under the singleton plan's tensors")
     return clustered_forward(x, layer_weights, cache, layer, plan_tensors, trace)
 

@@ -238,7 +238,7 @@ def _load_profile(path):
     path = _require_file(path, "profile file")
     try:
         return CalibrationProfile.load(path)
-    except (json.JSONDecodeError, KeyError, TypeError, ContractError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ContractError, ValidationError) as exc:
         raise ValidationError(f"profile file {path} is malformed: {exc}")
 
 

@@ -5,7 +5,8 @@ value-reuse variant, and offline calibration.
 Every forward pass goes through the one attention kernel,
 `clustered_forward`, under precomputed `PlanTensors`. Plain multi-head
 attention is the singleton plan (every head its own cluster): every mode
-prefills the prompt under it, through `mha_forward`.
+prefills the prompt under it, through `mha_forward`. Each plan epoch has
+one `HeadLayout`, which the cache, the plan tensors and the accounting read.
 
 Every request is two plan epochs. Decode steps 1..split run under the
 singleton plan over the unpruned cache; split is `steps` for MHA (the plan
@@ -14,12 +15,13 @@ the clustered modes, whose steps 1..split are traced. The plan freezes at
 one site, at the start of step split + 1: to the profile's calibration-time
 assignment for the static variant, or else to a clustering of each layer's
 heads from the traced rows (k-means with the profile's per-layer cluster
-counts). The frozen plan's tensors are built, the cache is pruned to the
-head layout they name, and they run every remaining step.
+counts). The frozen plan's head layout is derived, the cache is pruned to
+it (dropping the unpruned cache), and only then are the layout's
+`PlanTensors` gathered; they run every remaining step.
 
 The decode loop only decodes: per-step bytes, FLOPs and head counts are
-computed after it, once per plan epoch, from that epoch's `PlanTensors` and
-the closed forms in `accounting`.
+computed after it, once per plan epoch, from that epoch's layout and the
+closed forms in `accounting`.
 
 Decode steps are numbered from 1; step s feeds generated token s and attends
 over prompt_len + s cached positions.
@@ -53,7 +55,7 @@ from .clustering import (
 from .errors import ContractError, ValidationError
 from .kernels import matmul, rms_norm
 from .model import ModelConfig, Weights
-from .plan import ClusterPlan, LayerPlan
+from .plan import ClusterPlan, HeadLayout, LayerPlan
 
 MODES = ("MHA", "CHAI", "CHAI_STATIC", "CHAI_QKV")
 DEFAULT_IDENTIFY_AT = 5
@@ -174,13 +176,6 @@ def _forward_pass(
     return logits
 
 
-def _singleton_tensors(weights: Weights) -> PlanTensors:
-    """Plan tensors of the singleton plan, under which every prompt prefills."""
-    config = weights.config
-    singleton = ClusterPlan.singleton(config.num_layers, config.num_heads)
-    return PlanTensors(singleton, weights.layers, config.head_dim)
-
-
 def prefill(
     weights: Weights,
     prompt,
@@ -290,23 +285,18 @@ def _cluster_plan(layer_features, cluster_counts, seeds) -> ClusterPlan:
     return ClusterPlan(layers=tuple(layers))
 
 
-def _epoch_series(config: ModelConfig, tensors: PlanTensors, seq_lens: range):
+def _epoch_series(config: ModelConfig, layout: HeadLayout, seq_lens: range):
     """Per-step KV bytes, attention FLOPs and per-layer stored key and value
-    head counts of the decode steps at `seq_lens`, all run under `tensors`
-    over the cache layout they name. FLOPs are affine in seq_len under a
-    fixed plan, so two closed-form evaluations give them all."""
-    key_heads = [len(heads) for heads in tensors.key_heads]
-    value_heads = [len(heads) for heads in tensors.value_heads]
-    vector_bytes = config.head_dim * accounting.CACHE_WIDTH_BYTES
-    flops = [
-        accounting.attention_flops(
-            config, tensors.plan, n, reuse_values=tensors.prune_values
-        ).total_flops
-        for n in seq_lens[:2]
-    ]
+    head counts of the decode steps at `seq_lens`, all run in `layout`.
+    Bytes are linear and FLOPs affine in seq_len under a fixed layout, so
+    three closed-form evaluations give them all."""
+    key_heads = [len(heads) for heads in layout.key_heads]
+    value_heads = [len(heads) for heads in layout.value_heads]
+    position_bytes = accounting.kv_cache_bytes(config, layout, 1).kv_total_bytes
+    flops = [accounting.attention_flops(config, layout, n).total_flops for n in seq_lens[:2]]
     slope = flops[1] - flops[0] if len(flops) == 2 else 0
     return (
-        [(sum(key_heads) + sum(value_heads)) * n * vector_bytes for n in seq_lens],
+        [position_bytes * n for n in seq_lens],
         [flops[0] + slope * i for i in range(len(seq_lens))],
         [list(key_heads) for _ in seq_lens],
         [list(value_heads) for _ in seq_lens],
@@ -332,13 +322,13 @@ def generate(
         raise ValidationError(f"identify_at must be >= 1, got {identify_at}")
     if mode != "MHA":
         _require_profile(config, mode, profile)
-    reuse_values = mode == "CHAI_QKV"
 
     # steps 1..split run under the singleton plan; see the module docstring
     split = {"MHA": steps, "CHAI_STATIC": 0}.get(mode, min(identify_at, steps))
 
-    cache = KVCache(config)
-    epochs = [_singleton_tensors(weights)]
+    layouts = [HeadLayout.singleton(config)]  # one per plan epoch
+    cache = KVCache(config, layouts[0])
+    tensors = PlanTensors(layouts[0], weights.layers, config.head_dim)
     plan: ClusterPlan | None = None  # the frozen plan
     identification_ms = 0.0
 
@@ -347,7 +337,7 @@ def generate(
         trace = AttentionTrace(config.num_layers, config.num_heads, base_position=len(prompt))
 
     start = time.perf_counter()
-    logits = prefill(weights, prompt, cache, epochs[0])
+    logits = prefill(weights, prompt, cache, tensors)
     prefill_ms = (time.perf_counter() - start) * 1000.0
     next_token = int(np.argmax(logits))
 
@@ -367,16 +357,15 @@ def generate(
                     profile.cluster_counts,
                     [derived_seed(derived_seed(seed), layer) for layer in layers],
                 )
-            epochs.append(
-                PlanTensors(plan, weights.layers, config.head_dim, prune_values=reuse_values)
-            )
-            cache = prune_cache(cache, epochs[-1])
+            layouts.append(HeadLayout(config, plan, reuse_values=mode == "CHAI_QKV"))
+            cache = prune_cache(cache, layouts[-1])  # drops the unpruned cache
+            tensors = PlanTensors(layouts[-1], weights.layers, config.head_dim)
             identification_ms = (time.perf_counter() - ident_start) * 1000.0
 
         tokens.append(next_token)
         step_start = time.perf_counter()
         logits = _forward_pass(
-            weights, [next_token], cache, clustered_forward, epochs[-1],
+            weights, [next_token], cache, clustered_forward, tensors,
             trace=trace if step <= split else None,
         )
         next_token = int(np.argmax(logits))
@@ -387,16 +376,14 @@ def generate(
 
     seq_lens = range(len(prompt) + 1, len(prompt) + steps + 1)
     series = [
-        _epoch_series(config, tensors, lens)
-        for tensors, lens in zip(epochs, (seq_lens[:split], seq_lens[split:]))
+        _epoch_series(config, layout, lens)
+        for layout, lens in zip(layouts, (seq_lens[:split], seq_lens[split:]))
     ]
     per_step_kv_bytes, per_step_attention_flops, per_step_key_heads, per_step_value_heads = (
         sum(columns, []) for columns in zip(*series)
     )
-    memory_report = accounting.kv_cache_bytes(config, plan, seq_lens[-1], prune_values=reuse_values)
-    flop_report = accounting.attention_flops(
-        config, plan, seq_lens[-1], reuse_values=reuse_values
-    )
+    memory_report = accounting.kv_cache_bytes(config, layouts[-1], seq_lens[-1])
+    flop_report = accounting.attention_flops(config, layouts[-1], seq_lens[-1])
     return GenerationResult(
         mode=mode,
         prompt_length=len(prompt),
@@ -424,7 +411,9 @@ def _traced_prefix(weights: Weights, token_ids) -> AttentionTrace:
     step-s row then has length s, giving fixed-size calibration features."""
     config = weights.config
     trace = AttentionTrace(config.num_layers, config.num_heads)
-    prefill(weights, token_ids, KVCache(config), _singleton_tensors(weights), trace)
+    layout = HeadLayout.singleton(config)
+    tensors = PlanTensors(layout, weights.layers, config.head_dim)
+    prefill(weights, token_ids, KVCache(config, layout), tensors, trace)
     return trace
 
 
@@ -452,6 +441,8 @@ def calibrate(
         )
     if window < 1:
         raise ValidationError(f"window must be >= 1, got {window}")
+    if not np.isfinite(threshold):
+        raise ValidationError(f"threshold must be finite, got {threshold}")
 
     if sample_count < len(corpus):
         rng = np.random.default_rng(seed)

@@ -1,8 +1,11 @@
-"""Per-layer head-to-cluster assignments with one representative head per cluster."""
+"""Per-layer head-to-cluster assignments with one representative head per
+cluster, and the weightless head layout a plan gives the KV cache."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ContractError
 
@@ -95,3 +98,45 @@ class ClusterPlan:
                 for entry in data["layers"]
             )
         )
+
+
+class HeadLayout:
+    """The heads a plan epoch's KV cache stores and how its slots map to
+    heads; the one place they are derived. It holds no weights.
+
+    Per layer: `key_heads`, the representatives in ascending order (slot s
+    stores key head key_heads[s]); `value_heads`, every head, or the key
+    heads under value reuse (`reuse_values`, the CHAI-QKV variant);
+    `cluster_of_slot`, the cluster whose key each slot holds; and
+    `slot_of_head`, the slot whose probability row each head uses. A plan
+    whose layer or head count differs from the model config's raises
+    ContractError.
+    """
+
+    def __init__(self, config, plan: ClusterPlan, reuse_values: bool = False):
+        if plan.num_layers != config.num_layers:
+            raise ContractError(
+                f"plan covers {plan.num_layers} layers, the model has {config.num_layers}"
+            )
+        self.plan = plan
+        self.reuse_values = reuse_values
+        self.key_heads, self.value_heads = [], []
+        self.cluster_of_slot, self.slot_of_head = [], []
+        for layer in plan.layers:
+            if layer.num_heads != config.num_heads:
+                raise ContractError(
+                    f"plan has {layer.num_heads} heads, the model has {config.num_heads}"
+                )
+            key_heads = sorted(layer.representatives)
+            cluster_of_slot = np.array([layer.assignment[h] for h in key_heads], dtype=np.intp)
+            slot_of_cluster = np.empty(len(key_heads), dtype=np.intp)
+            slot_of_cluster[cluster_of_slot] = np.arange(len(key_heads))
+            self.key_heads.append(key_heads)
+            self.value_heads.append(key_heads if reuse_values else list(range(config.num_heads)))
+            self.cluster_of_slot.append(cluster_of_slot)
+            self.slot_of_head.append(slot_of_cluster[np.asarray(layer.assignment)])
+
+    @classmethod
+    def singleton(cls, config) -> "HeadLayout":
+        """Every head its own slot: plain multi-head attention, nothing pruned."""
+        return cls(config, ClusterPlan.singleton(config.num_layers, config.num_heads))

@@ -6,7 +6,7 @@ from chai.attention import PlanTensors, _head_scale, _project_heads, _to_cache_l
 from chai.engine import CalibrationProfile
 from chai.kernels import apply_rope_heads, matmul
 from chai.model import ModelConfig, Weights, init_random, make_redundant
-from chai.plan import ClusterPlan, LayerPlan
+from chai.plan import ClusterPlan, HeadLayout, LayerPlan
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -116,8 +116,9 @@ def acceptance_corpus(config, samples=8, length=10, seed=123):
     return [rng.integers(0, config.vocab_size, size=length).tolist() for _ in range(samples)]
 
 
-def plan_tensors(weights: Weights, plan: ClusterPlan, prune_values=False) -> PlanTensors:
-    return PlanTensors(plan, weights.layers, weights.config.head_dim, prune_values=prune_values)
+def plan_tensors(weights: Weights, plan: ClusterPlan, reuse_values=False) -> PlanTensors:
+    layout = HeadLayout(weights.config, plan, reuse_values)
+    return PlanTensors(layout, weights.layers, weights.config.head_dim)
 
 
 def singleton_tensors(weights: Weights) -> PlanTensors:

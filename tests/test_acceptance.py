@@ -21,6 +21,7 @@ from chai.clustering import (
 from chai.engine import calibrate, generate
 from chai.kernels import softmax_rows
 from chai.model import ModelConfig, init_random
+from chai.plan import HeadLayout
 from helpers import (
     ACCEPTANCE_COUNTS,
     acceptance_corpus,
@@ -67,7 +68,7 @@ def test_criterion_2_kv_cache_byte_magnitude():
         num_layers=32, num_heads=32, model_dim=4096, head_dim=128,
         ffn_dim=11008, vocab_size=32000, max_seq_len=4096,
     )
-    report_bytes = kv_cache_bytes(config, None, 2048)
+    report_bytes = kv_cache_bytes(config, HeadLayout.singleton(config), 2048)
     total = report_bytes.kv_total_bytes
     ok = total == 1_073_741_824 and abs(total - 1.2e9) / 1.2e9 < 0.15
     report(2, "7B-shape cache at 2048 tokens is exactly 1,073,741,824 bytes", ok,
@@ -80,7 +81,8 @@ def test_criterion_3_savings_headline_and_live_match():
         ffn_dim=96, vocab_size=64, max_seq_len=64,
     )
     plan = grouped_plan(config.num_layers, 32, [18] * config.num_layers)
-    closed = kv_cache_bytes(config, plan, 32)
+    layout = HeadLayout(config, plan)
+    closed = kv_cache_bytes(config, layout, 32)
     exact = closed.savings_fraction == 0.21875
 
     weights = init_random(config, seed=4)
@@ -89,7 +91,7 @@ def test_criterion_3_savings_headline_and_live_match():
     result = generate(weights, prompt, 20, "CHAI_STATIC", profile=profile)
     live_match = all(
         result.per_step_kv_bytes[step - 1]
-        == kv_cache_bytes(config, plan, len(prompt) + step).kv_total_bytes
+        == kv_cache_bytes(config, layout, len(prompt) + step).kv_total_bytes
         for step in range(1, 21)
     )
     final_fraction = result.memory_report.savings_fraction
@@ -273,8 +275,9 @@ def test_criterion_8_invariant_suites():
         ):
             assert key_counts == counts
             assert value_counts == [heads] * layers
-        mha_flops = attention_flops(config_weights.config, None, 12).total_flops
-        plan_flops = attention_flops(config_weights.config, plan, 12).total_flops
+        config = config_weights.config
+        mha_flops = attention_flops(config, HeadLayout.singleton(config), 12).total_flops
+        plan_flops = attention_flops(config, HeadLayout(config, plan), 12).total_flops
         assert plan_flops <= mha_flops
         if any(k < heads for k in counts):
             assert plan_flops < mha_flops

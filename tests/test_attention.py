@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from chai.attention import (
 )
 from chai.errors import ContractError, InsufficientTraceError, ModeMismatchError
 from chai.model import ModelConfig, init_random, make_redundant
-from chai.plan import ClusterPlan, LayerPlan
+from chai.plan import ClusterPlan, HeadLayout, LayerPlan
 from helpers import (
-    grouped_plan, plan_tensors, reference_mha_forward, singleton_tensors, small_weights
+    grouped_plan, plan_tensors, reference_mha_forward, singleton_tensors, small_config,
+    small_weights,
 )
 
 
@@ -142,7 +144,7 @@ class TestMhaForward:
         x = rng.standard_normal((1, 32)).astype(np.float32)
         tensors = singleton_tensors(weights)
         mha_forward(x, weights.layers[0], cache, 0, tensors)
-        pruned = prune_cache(cache, plan_tensors(weights, grouped_plan(2, 4, [2, 2])))
+        pruned = prune_cache(cache, HeadLayout(weights.config, grouped_plan(2, 4, [2, 2])))
         with pytest.raises(ModeMismatchError):
             mha_forward(x, weights.layers[0], pruned, 0, tensors)
 
@@ -265,8 +267,8 @@ class TestClusteredForward:
         clustered_outs = [
             clustered_forward(rows[0][None, :], weights.layers[0], cache, 0, singleton)
         ]
-        tensors = plan_tensors(weights, plan, prune_values=reuse_values)
-        cache = prune_cache(cache, tensors)
+        tensors = plan_tensors(weights, plan, reuse_values=reuse_values)
+        cache = prune_cache(cache, tensors.layout)
         for row in rows[1:]:
             clustered_outs.append(
                 clustered_forward(row[None, :], weights.layers[0], cache, 0, tensors)
@@ -324,23 +326,24 @@ class TestClusteredForward:
         x = rng.standard_normal((1, 32)).astype(np.float32)
         clustered_forward(x, weights.layers[0], cache, 0, singleton_tensors(weights))
         plan = grouped_plan(2, 4, [2, 2])
-        cache = prune_cache(cache, plan_tensors(weights, plan))
+        cache = prune_cache(cache, HeadLayout(weights.config, plan))
         other_plan = ClusterPlan(
             layers=(
                 LayerPlan(assignment=(0, 1, 1, 1), representatives=(0, 1)),
                 LayerPlan(assignment=(0, 1, 1, 1), representatives=(0, 1)),
             )
         )
-        head_dim = weights.config.head_dim
+        config, head_dim = weights.config, weights.config.head_dim
         with pytest.raises(ContractError):
             clustered_forward(
-                x, weights.layers[0], cache, 0, PlanTensors(other_plan, weights.layers, head_dim)
+                x, weights.layers[0], cache, 0,
+                PlanTensors(HeadLayout(config, other_plan), weights.layers, head_dim),
             )
-        # same representatives, but the tensors expect pruned values
+        # same representatives, but the layout expects pruned values
         with pytest.raises(ContractError, match="value heads"):
             clustered_forward(
                 x, weights.layers[0], cache, 0,
-                PlanTensors(plan, weights.layers, head_dim, prune_values=True),
+                PlanTensors(HeadLayout(config, plan, reuse_values=True), weights.layers, head_dim),
             )
 
 
@@ -354,8 +357,8 @@ class TestClusteredForward:
             weights.layers[0], cache, 0, singleton_tensors(weights),
         )
         plan = grouped_plan(2, 4, [2, 2])
-        tensors = plan_tensors(weights, plan, prune_values=prune_values)
-        cache = prune_cache(cache, tensors)
+        tensors = plan_tensors(weights, plan, reuse_values=prune_values)
+        cache = prune_cache(cache, tensors.layout)
         before = cache.layers[0].keys.copy(), cache.layers[0].values.copy()
         x = rng.standard_normal((3, 32)).astype(np.float32)
         with pytest.raises(ContractError, match="only the singleton plan"):
@@ -378,7 +381,7 @@ class TestPruneCache:
     def test_singleton_plan_keeps_everything(self):
         weights = small_weights()
         cache = self._filled_cache(weights)
-        pruned = prune_cache(cache, singleton_tensors(weights))
+        pruned = prune_cache(cache, HeadLayout.singleton(weights.config))
         for old, new in zip(cache.layers, pruned.layers):
             assert new.stored_key_heads == [0, 1, 2, 3]
             np.testing.assert_array_equal(new.live_keys(), old.live_keys())
@@ -387,7 +390,7 @@ class TestPruneCache:
     def test_single_cluster_keeps_one_key_head(self):
         weights = small_weights()
         pruned = prune_cache(
-            self._filled_cache(weights), plan_tensors(weights, grouped_plan(2, 4, [1, 1]))
+            self._filled_cache(weights), HeadLayout(weights.config, grouped_plan(2, 4, [1, 1]))
         )
         for lc in pruned.layers:
             assert len(lc.stored_key_heads) == 1
@@ -407,23 +410,23 @@ class TestPruneCache:
         x = rng.standard_normal((100, 64)).astype(np.float32)
         mha_forward(x, weights.layers[0], cache, 0, singleton_tensors(weights))
         assert len(cache.layers[0].stored_key_heads) * cache.length == 3200
-        pruned = prune_cache(cache, plan_tensors(weights, grouped_plan(1, 32, [18])))
+        pruned = prune_cache(cache, HeadLayout(config, grouped_plan(1, 32, [18])))
         assert len(pruned.layers[0].stored_key_heads) * pruned.length == 1800
         assert len(pruned.layers[0].stored_value_heads) * pruned.length == 3200
 
     def test_double_pruning_rejected(self):
         weights = small_weights()
         cache = self._filled_cache(weights)
-        tensors = plan_tensors(weights, grouped_plan(2, 4, [2, 2]))
-        pruned = prune_cache(cache, tensors)
+        layout = HeadLayout(weights.config, grouped_plan(2, 4, [2, 2]))
+        pruned = prune_cache(cache, layout)
         with pytest.raises(ContractError):
-            prune_cache(pruned, tensors)
+            prune_cache(pruned, layout)
 
     def test_prune_values_keeps_representatives_only(self):
         weights = small_weights()
         cache = self._filled_cache(weights)
         pruned = prune_cache(
-            cache, plan_tensors(weights, grouped_plan(2, 4, [2, 2]), prune_values=True)
+            cache, HeadLayout(weights.config, grouped_plan(2, 4, [2, 2]), reuse_values=True)
         )
         for old, lc in zip(cache.layers, pruned.layers):
             assert lc.stored_value_heads == lc.stored_key_heads == [0, 2]
@@ -433,21 +436,22 @@ class TestPruneCache:
     @pytest.mark.parametrize(
         "layers, heads, message",
         [
-            (1, 4, "plan covers 1 layers, the weights have 2"),
-            (2, 8, "plan has 8 heads, the weights have 4"),
+            (1, 4, "plan covers 1 layers, the model has 2"),
+            (2, 8, "plan has 8 heads, the model has 4"),
         ],
         ids=["other_layer_count", "other_head_count"],
     )
     def test_plan_for_other_model_rejected(self, layers, heads, message):
-        # a plan reaches prune_cache only through the tensors built from it
+        # a plan reaches prune_cache, PlanTensors and the accounting only
+        # through the head layout built from it
         with pytest.raises(ContractError, match=message):
-            plan_tensors(small_weights(), grouped_plan(layers, heads, [2] * layers))
+            HeadLayout(small_config(), grouped_plan(layers, heads, [2] * layers))
 
     def test_tensors_for_other_layer_count_rejected(self):
         cache = self._filled_cache(small_weights())
-        one_layer = small_weights(num_layers=1)
+        one_layer = HeadLayout(small_config(num_layers=1), grouped_plan(1, 4, [2]))
         with pytest.raises(ValueError):
-            prune_cache(cache, plan_tensors(one_layer, grouped_plan(1, 4, [2])))
+            prune_cache(cache, one_layer)
 
 
 class TestLayerCache:
@@ -466,6 +470,21 @@ class TestTrace:
         trace = AttentionTrace(1, 1)
         with pytest.raises(ContractError):
             trace.record(0, 0, 0, np.array([0.5, 0.2], dtype=np.float32))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([1.5, -0.5], "has probability -0.5 outside [0, 1]"),
+            ([0.5, np.nan], "has probability nan outside [0, 1]"),
+            ([0.5, 0.25], "sums to 0.75, not 1"),
+        ],
+        ids=["sums_to_one_outside_unit_range", "nan", "short_sum"],
+    )
+    def test_record_names_the_bad_row(self, row, message):
+        trace = AttentionTrace(2, 4, base_position=3)
+        with pytest.raises(ContractError, match=rf"layer 1, head 2, step 2 {re.escape(message)}"):
+            trace.record(1, 2, 4, np.array(row, dtype=np.float32))
+        assert trace.steps(1, 2) == []
 
     def test_missing_row_raises(self):
         trace = AttentionTrace(1, 1)

@@ -103,6 +103,26 @@ class TestCalibrate:
             ]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_rejected_before_tracing(
+        self, tmp_path, capsys, monkeypatch, threshold
+    ):
+        import chai.engine as engine_mod
+
+        def no_tracing(*args, **kwargs):
+            raise AssertionError("calibrate traced a sample")
+
+        monkeypatch.setattr(engine_mod, "_traced_prefix", no_tracing)
+        wpath, weights = write_small_model(tmp_path)
+        cpath = self._corpus(tmp_path, weights)
+        out = tmp_path / "profile.json"
+        assert main([
+            "calibrate", "--weights", str(wpath), "--corpus", str(cpath),
+            "--threshold", threshold, "--out", str(out),
+        ]) == 2
+        assert f"threshold must be finite, got {threshold}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_recovers_fixture_counts(self, tmp_path):
         weights, plan = redundant_fixture([1, 3], seed=17)
         wpath = tmp_path / "weights.bin"
@@ -399,15 +419,44 @@ class TestAnalyze:
             assert not (tmp_path / "out" / f"{what}.csv").exists()
 
     @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("nan", "has probability nan outside [0, 1]"),
+            ("7.5", "has probability 7.5 outside [0, 1]"),
+            ("1.0", "sums to 1.83"),
+        ],
+        ids=["nan", "above_one", "sum_above_one"],
+    )
+    def test_non_probability_row_is_usage_error(self, tmp_path, capsys, value, message):
+        trace_path, ppath = self._trace_from_fixture(tmp_path)
+        lines = trace_path.read_text().splitlines()
+        # a 3-token prompt: the step-3 row of layer 1, head 2 spans positions 0..5
+        target = next(i for i, line in enumerate(lines) if line.startswith("1,2,3,1,"))
+        lines[target] = "1,2,3,1," + value
+        trace_path.write_text("\n".join(lines) + "\n")
+        for what in ("correlation", "elbow", "stability"):
+            assert main([
+                "analyze", "--trace", str(trace_path), "--what", what,
+                "--profile", str(ppath), "--out", str(tmp_path / "out"),
+            ]) == 2
+            err = capsys.readouterr().err
+            assert f"row of layer 1, head 2, step 3 {message}" in err
+            assert not (tmp_path / "out" / f"{what}.csv").exists()
+
+    @pytest.mark.parametrize(
         "field, value, command",
         [
             ("seed", -1, "stability"),
+            ("seed", -1, "generate"),
             ("seed", "abc", "stability"),
             ("seed", 1.5, "stability"),
             ("window", "x", "stability"),
             ("cluster_counts", [2.0, 2.0], "generate"),
         ],
-        ids=["negative_seed", "text_seed", "fractional_seed", "text_window", "float_counts"],
+        ids=[
+            "negative_seed", "negative_seed_generate", "text_seed", "fractional_seed",
+            "text_window", "float_counts",
+        ],
     )
     def test_malformed_profile_scalar_is_usage_error(
         self, tmp_path, capsys, field, value, command
@@ -431,7 +480,8 @@ class TestAnalyze:
             ])
             written = out / "stability.csv"
         assert code == 2
-        assert f"profile {field.replace('_', ' ')}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"profile file {ppath} is malformed: profile {field.replace('_', ' ')}" in err
         assert not written.exists()
 
     def test_stability_idempotent(self, tmp_path):

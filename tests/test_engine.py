@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from chai.engine import (
     prefill,
 )
 from chai.errors import ContractError, ValidationError
-from chai.plan import ClusterPlan
+from chai.plan import ClusterPlan, HeadLayout
 from helpers import (
     degenerate_profile,
     fixture_profile,
@@ -200,13 +202,15 @@ class TestGenerateChai:
             profile=None if mode == "MHA" else fixture_profile(weights, plan),
         )
         assert result.identified_at_step == identified_at
-        reuse = mode == "CHAI_QKV"
+        layouts = [HeadLayout.singleton(config)]
+        if result.plan is not None:
+            layouts.append(HeadLayout(config, result.plan, reuse_values=mode == "CHAI_QKV"))
         for step in range(1, steps + 1):
             seq_len = len(prompt) + step
             frozen = identified_at is not None and step > identified_at
-            step_plan = result.plan if frozen else None
-            want_bytes = kv_cache_bytes(config, step_plan, seq_len, prune_values=reuse)
-            want_flops = attention_flops(config, step_plan, seq_len, reuse_values=reuse)
+            layout = layouts[-1] if frozen else layouts[0]
+            want_bytes = kv_cache_bytes(config, layout, seq_len)
+            want_flops = attention_flops(config, layout, seq_len)
             assert result.per_step_kv_bytes[step - 1] == want_bytes.kv_total_bytes
             assert result.per_step_attention_flops[step - 1] == want_flops.total_flops
         # the last step's bytes are the final cache's, as it reports itself
@@ -316,11 +320,37 @@ class TestDecodeGathers:
         )
         # wq, wk and wv columns once per layer per plan, never during a step
         assert calls == ["build"] * 3 * weights.config.num_layers * len(builds)
-        assert builds[0] == ClusterPlan.singleton(2, 4)
+        assert builds[0].plan == ClusterPlan.singleton(2, 4)
         if mode == "MHA":
             assert len(builds) == 1 and result.plan is None
         else:
-            assert len(builds) == 2 and builds[1] == result.plan
+            assert len(builds) == 2 and builds[1].plan == result.plan
+
+    @pytest.mark.parametrize("mode", ["CHAI", "CHAI_STATIC", "CHAI_QKV"])
+    def test_frozen_plan_tensors_built_after_unpruned_cache_released(self, mode, monkeypatch):
+        weights, plan = redundant_fixture([2, 3], seed=6)
+        prefill_caches = []  # weak references: the spies must not keep a cache alive
+        alive_at_build = []
+        real_prefill, real_tensors = engine_mod.prefill, engine_mod.PlanTensors
+
+        def spy_prefill(weights, prompt, cache, *args, **kwargs):
+            prefill_caches.append(weakref.ref(cache))
+            return real_prefill(weights, prompt, cache, *args, **kwargs)
+
+        def spy_tensors(*args, **kwargs):
+            alive_at_build.append([ref() is not None for ref in prefill_caches])
+            return real_tensors(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "prefill", spy_prefill)
+        monkeypatch.setattr(engine_mod, "PlanTensors", spy_tensors)
+        result = generate(
+            weights, random_prompt(weights.config, 6), 8, mode,
+            profile=fixture_profile(weights, plan),
+        )
+        assert result.plan is not None
+        # the singleton tensors precede prefill; the frozen plan's column
+        # gathers come only after pruning has dropped the prefill cache
+        assert alive_at_build == [[], [False]]
 
 
 class TestFlopOrdering:

@@ -117,12 +117,14 @@ def run_pipeline(src: Path, work: Path) -> dict[str, bytes]:
           "--out", "bench.csv")
     keep("bench.csv", _bench_columns(work / "bench.csv"))
 
+    # trace_CHAI.csv's rows are decode steps, prompt + s positions long
     outputs = {"correlation": "correlation.csv", "elbow": "elbow.csv",
                "stability": "stability.csv", "histogram": "histogram.json"}
-    for what, written in outputs.items():
-        _chai(src, work, "analyze", "--trace", "trace_MHA.csv", "--what", what,
-              "--profile", "w5.json", "--out", "analysis")
-        keep(f"analysis/{written}")
+    for trace, out_dir in (("trace_MHA.csv", "analysis"), ("trace_CHAI.csv", "analysis_CHAI")):
+        for what, written in outputs.items():
+            _chai(src, work, "analyze", "--trace", trace, "--what", what,
+                  "--profile", "w5.json", "--out", out_dir)
+            keep(f"{out_dir}/{written}")
     return artifacts
 
 
