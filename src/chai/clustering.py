@@ -6,6 +6,13 @@ Distances are plain squared Euclidean on raw probabilities (entries are
 already commensurate in [0, 1]); k-means uses k-means++ seeding, best-of-N
 restarts, and deterministic empty-cluster repair. Everything is pure and
 deterministic given (input order, seed).
+
+k-means makes no Python loop per cluster: one pairwise distance matrix per
+`kmeans` call serves every restart's seeding, cluster means come from one
+stacked block per distinct cluster size, and the empty-cluster repair is one
+walk down the points by falling distance. Each is bit-equal to the
+per-cluster reference `reference_kmeans` in tests/helpers.py, which the tests
+hold it to.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import AttentionTrace
-from .errors import ContractError, ShapeError, ValidationError
+from .errors import ContractError, InsufficientTraceError, ShapeError, ValidationError
 from .plan import ClusterPlan
 
 DEFAULT_RESTARTS = 10
@@ -75,7 +82,8 @@ def kmeans(
         raise ValidationError(f"cluster count {k} outside [1, {n}]")
 
     rng = np.random.default_rng(seed)
-    inits = [_kmeanspp_init(points, k, rng) for _ in range(restarts)]
+    pairwise = _pairwise_sqdist(points)
+    inits = [points[_kmeanspp_seeds(pairwise, k, rng)] for _ in range(restarts)]
     for init in extra_inits or ():
         inits.append(np.asarray(init, dtype=np.float64))
 
@@ -89,10 +97,21 @@ def kmeans(
     return best
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
+def _pairwise_sqdist(points: np.ndarray) -> np.ndarray:
+    """Row i is `((points - points[i]) ** 2).sum(axis=1)`, built row by row so
+    every row carries the exact bits of that expression and the peak extra
+    memory stays one (n, dim) difference, not an (n, n, dim) broadcast."""
+    pairwise = np.empty((points.shape[0], points.shape[0]), dtype=np.float64)
+    for i, point in enumerate(points):
+        pairwise[i] = ((points - point) ** 2).sum(axis=1)
+    return pairwise
+
+
+def _kmeanspp_seeds(pairwise: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+    """Indices of k k-means++ seed points, read from the pairwise distances."""
+    n = pairwise.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = pairwise[chosen[0]]
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -100,8 +119,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(rng.choice(n, p=d2 / total))
         chosen.append(idx)
-        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
-    return points[chosen].copy()
+        d2 = np.minimum(d2, pairwise[idx])
+    return chosen
 
 
 def _sqdist(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -111,36 +130,60 @@ def _sqdist(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _cluster_means(points: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
-    means = np.empty((k, points.shape[1]), dtype=np.float64)
-    for c in range(k):
-        members = points[assignment == c]
-        if members.shape[0] == 0:
-            raise ContractError(f"cluster {c} became empty despite repair")
-        means[c] = members.mean(axis=0)
+    """Per-cluster means, bit-equal to `points[assignment == c].mean(axis=0)`.
+
+    Clusters of one size are stacked, each one's points in input order, into
+    a (clusters, size, dim) block. Its sum over axis 1 adds up each cluster's
+    (size, dim) rows in the same order as that cluster's own `mean`, which
+    divides the same sum by the count. (A `np.add.reduceat` over the sorted
+    points is not bit-equal: it adds the first row to a pairwise sum of the
+    rest.)
+    """
+    counts = np.bincount(assignment, minlength=k)
+    if not counts.all():
+        raise ContractError(f"cluster {int(np.argmin(counts))} became empty despite repair")
+    dim = points.shape[1]
+    rows = points[np.argsort(counts[assignment] * k + assignment, kind="stable")]
+    clusters = np.argsort(counts, kind="stable")
+    means = np.empty((k, dim), dtype=np.float64)
+    row = first = 0
+    for size, group in enumerate(np.bincount(counts).tolist()):
+        if group:
+            block = rows[row : row + size * group].reshape(group, size, dim)
+            means[clusters[first : first + group]] = block.sum(axis=1) / size
+            row += size * group
+            first += group
     return means
 
 
 def _repair_empty(points, assignment, centroids, d2):
-    """Give each empty cluster the point farthest from its current centroid
-    (ties to the lowest index); donors must not empty their own cluster."""
-    k = centroids.shape[0]
-    counts = np.bincount(assignment, minlength=k)
-    if np.all(counts > 0):
+    """Give each empty cluster, in ascending order, the point farthest from its
+    current centroid (ties to the lowest index); donors must not empty their
+    own cluster.
+
+    One walk down the points by falling own distance does it: a cluster that
+    has one member left never gains one here, so a point that cannot donate
+    now never can, and a donated point is alone in its new cluster.
+    """
+    counts = np.bincount(assignment, minlength=centroids.shape[0]).tolist()
+    empties = [c for c, count in enumerate(counts) if count == 0]
+    if not empties:
         return assignment, centroids
     assignment = assignment.copy()
     centroids = centroids.copy()
     own_dist = d2[np.arange(points.shape[0]), assignment]
-    for empty in np.flatnonzero(counts == 0):
-        candidates = np.flatnonzero(counts[assignment] > 1)
-        if candidates.size == 0:
-            raise ContractError("no donor point available for empty-cluster repair")
-        farthest = candidates[np.argmax(own_dist[candidates])]
-        counts[assignment[farthest]] -= 1
-        assignment[farthest] = empty
-        counts[empty] = 1
-        centroids[empty] = points[farthest]
-        own_dist[farthest] = 0.0
-    return assignment, centroids
+    pending = iter(empties)
+    empty = next(pending)
+    for point in np.argsort(-own_dist, kind="stable").tolist():
+        cluster = int(assignment[point])
+        if counts[cluster] > 1:
+            counts[cluster] -= 1
+            assignment[point] = empty
+            centroids[empty] = points[point]
+            empty = next(pending, None)
+            if empty is None:
+                return assignment, centroids
+    raise ContractError("no donor point available for empty-cluster repair")
 
 
 def _lloyd(points: np.ndarray, init: np.ndarray) -> KMeansResult:
@@ -259,6 +302,11 @@ def membership_stability(trace: AttentionTrace, profile, from_step: int, to_step
         )
     if to_step < from_step:
         raise ValidationError(f"empty step range [{from_step}, {to_step}]")
+    if to_step > trace.max_step():
+        raise InsufficientTraceError(
+            f"stability range ends at step {to_step}, past the trace's last step "
+            f"{trace.max_step()}"
+        )
 
     first_needed = from_step - 1 if from_step - 1 >= window else from_step
     memberships: dict[tuple[int, int], tuple[int, ...]] = {}

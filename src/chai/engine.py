@@ -443,6 +443,8 @@ def calibrate(
         raise ValidationError(f"window must be >= 1, got {window}")
     if not np.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
+    if threshold < 0:
+        raise ValidationError(f"threshold must be >= 0, got {threshold}")
 
     if sample_count < len(corpus):
         rng = np.random.default_rng(seed)

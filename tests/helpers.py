@@ -3,7 +3,9 @@
 import numpy as np
 
 from chai.attention import PlanTensors, _head_scale, _project_heads, _to_cache_layout
+from chai.clustering import DEFAULT_RESTARTS, MAX_ITERATIONS, RELATIVE_TOL, KMeansResult
 from chai.engine import CalibrationProfile
+from chai.errors import ContractError
 from chai.kernels import apply_rope_heads, matmul
 from chai.model import ModelConfig, Weights, init_random, make_redundant
 from chai.plan import ClusterPlan, HeadLayout, LayerPlan
@@ -184,3 +186,114 @@ def reference_mha_forward(x, layer_weights, cache, layer, trace=None):
                 trace.record(layer, head, start + i, probs[i, : start + i + 1])
     merged = np.concatenate(outputs, axis=1)
     return matmul(merged, layer_weights.wo)
+
+
+def reference_kmeans(points, k, seed=0, restarts=DEFAULT_RESTARTS, extra_inits=None):
+    """`clustering.kmeans` as first written: k-means++ seeding that computes a
+    fresh distance row for every centre, per-cluster boolean-mask means, and
+    an empty-cluster repair that searches for the farthest donor once per
+    empty cluster. The bit-identity oracle for the production k-means."""
+    points = np.asarray(points, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    inits = [_reference_kmeanspp_init(points, k, rng) for _ in range(restarts)]
+    for init in extra_inits or ():
+        inits.append(np.asarray(init, dtype=np.float64))
+    best = None
+    for init in inits:
+        result = _reference_lloyd(points, init)
+        if best is None or result.sse < best.sse:
+            best = result
+    return best
+
+
+def reference_sse_curve(points, seed=0):
+    """`clustering.sse_curve` over `reference_kmeans`."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    errors = np.empty(n, dtype=np.float64)
+    prev = None
+    for k in range(1, n + 1):
+        extra = []
+        if prev is not None:
+            own_dist = ((points - prev.centroids[prev.assignment]) ** 2).sum(axis=1)
+            farthest = int(np.argmax(own_dist))
+            extra.append(np.vstack([prev.centroids, points[farthest]]))
+        prev = reference_kmeans(points, k, seed=seed, extra_inits=extra)
+        errors[k - 1] = prev.sse
+    return errors
+
+
+def _reference_kmeanspp_init(points, k, rng):
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        chosen.append(idx)
+        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+    return points[chosen].copy()
+
+
+def _reference_sqdist(points, centroids):
+    p2 = (points**2).sum(axis=1)[:, None]
+    c2 = (centroids**2).sum(axis=1)[None, :]
+    return np.maximum(p2 + c2 - 2.0 * points @ centroids.T, 0.0)
+
+
+def _reference_cluster_means(points, assignment, k):
+    means = np.empty((k, points.shape[1]), dtype=np.float64)
+    for c in range(k):
+        members = points[assignment == c]
+        if members.shape[0] == 0:
+            raise ContractError(f"cluster {c} became empty despite repair")
+        means[c] = members.mean(axis=0)
+    return means
+
+
+def _reference_repair_empty(points, assignment, centroids, d2):
+    k = centroids.shape[0]
+    counts = np.bincount(assignment, minlength=k)
+    if np.all(counts > 0):
+        return assignment, centroids
+    assignment = assignment.copy()
+    centroids = centroids.copy()
+    own_dist = d2[np.arange(points.shape[0]), assignment]
+    for empty in np.flatnonzero(counts == 0):
+        candidates = np.flatnonzero(counts[assignment] > 1)
+        if candidates.size == 0:
+            raise ContractError("no donor point available for empty-cluster repair")
+        farthest = candidates[np.argmax(own_dist[candidates])]
+        counts[assignment[farthest]] -= 1
+        assignment[farthest] = empty
+        counts[empty] = 1
+        centroids[empty] = points[farthest]
+        own_dist[farthest] = 0.0
+    return assignment, centroids
+
+
+def _reference_lloyd(points, init):
+    centroids = init.copy()
+    k = centroids.shape[0]
+    prev_sse = np.inf
+    assignment = np.zeros(points.shape[0], dtype=np.intp)
+    for _ in range(MAX_ITERATIONS):
+        d2 = _reference_sqdist(points, centroids)
+        assignment = d2.argmin(axis=1)
+        assignment, centroids = _reference_repair_empty(points, assignment, centroids, d2)
+        sse = float(((points - centroids[assignment]) ** 2).sum())
+        if sse > prev_sse + 1e-9:
+            raise ContractError(
+                f"SSE increased across a Lloyd iteration ({prev_sse!r} -> {sse!r})"
+            )
+        if np.isfinite(prev_sse) and prev_sse - sse <= RELATIVE_TOL * max(prev_sse, 1e-12):
+            prev_sse = sse
+            break
+        prev_sse = sse
+        centroids = _reference_cluster_means(points, assignment, k)
+    centroids = _reference_cluster_means(points, assignment, k)
+    sse = float(((points - centroids[assignment]) ** 2).sum())
+    return KMeansResult(assignment=assignment, centroids=centroids, sse=sse)

@@ -103,10 +103,9 @@ class TestCalibrate:
             ]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    @pytest.mark.parametrize("threshold", ["nan", "inf"])
-    def test_non_finite_threshold_rejected_before_tracing(
-        self, tmp_path, capsys, monkeypatch, threshold
-    ):
+    def _rejected_threshold_message(self, tmp_path, capsys, monkeypatch, threshold):
+        """stderr of a calibrate run that must exit 2 before tracing and
+        write no profile."""
         import chai.engine as engine_mod
 
         def no_tracing(*args, **kwargs):
@@ -120,8 +119,19 @@ class TestCalibrate:
             "calibrate", "--weights", str(wpath), "--corpus", str(cpath),
             "--threshold", threshold, "--out", str(out),
         ]) == 2
-        assert f"threshold must be finite, got {threshold}" in capsys.readouterr().err
         assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_rejected_before_tracing(
+        self, tmp_path, capsys, monkeypatch, threshold
+    ):
+        err = self._rejected_threshold_message(tmp_path, capsys, monkeypatch, threshold)
+        assert f"threshold must be finite, got {threshold}" in err
+
+    def test_negative_threshold_rejected_before_tracing(self, tmp_path, capsys, monkeypatch):
+        err = self._rejected_threshold_message(tmp_path, capsys, monkeypatch, "-1")
+        assert "threshold must be >= 0, got -1.0" in err
 
     def test_recovers_fixture_counts(self, tmp_path):
         weights, plan = redundant_fixture([1, 3], seed=17)
@@ -318,6 +328,26 @@ class TestAnalyze:
         rows = read_csv(tmp_path / "out" / "stability.csv")
         assert rows and all(r["changes"] == "0" for r in rows)
         assert min(int(r["step"]) for r in rows) == 5
+
+    def test_stability_past_last_step_rejected_before_clustering(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import chai.clustering as clustering_mod
+
+        def no_clustering(*args, **kwargs):
+            raise AssertionError("stability clustered a step")
+
+        trace_path, ppath = self._trace_from_fixture(tmp_path, steps=10)
+        monkeypatch.setattr(clustering_mod, "kmeans", no_clustering)
+        out = tmp_path / "out"
+        assert main([
+            "analyze", "--trace", str(trace_path), "--what", "stability",
+            "--profile", str(ppath), "--to-step", "50", "--out", str(out),
+        ]) == 2
+        assert "stability range ends at step 50, past the trace's last step 10" in (
+            capsys.readouterr().err
+        )
+        assert not (out / "stability.csv").exists()
 
     def test_stability_requires_profile(self, tmp_path):
         trace_path, _ = self._trace_from_fixture(tmp_path)

@@ -22,7 +22,14 @@ from chai.clustering import (
 )
 from chai.errors import ContractError, InsufficientTraceError, ShapeError, ValidationError
 from chai.plan import ClusterPlan, LayerPlan
-from helpers import grouped_plan
+from chai.engine import _traced_prefix
+from helpers import (
+    acceptance_corpus,
+    acceptance_fixture,
+    grouped_plan,
+    reference_kmeans,
+    reference_sse_curve,
+)
 
 
 def build_trace(head_rows):
@@ -189,6 +196,10 @@ class TestKMeansGuards:
         with pytest.raises(ContractError, match="no initialization"):
             kmeans(self.POINTS, 2, restarts=0)
 
+    def test_mean_of_empty_cluster_raises(self):
+        with pytest.raises(ContractError, match="cluster 1 became empty despite repair"):
+            clustering_mod._cluster_means(self.POINTS, np.array([0, 0, 2, 2, 0, 2]), 3)
+
     def test_guards_survive_optimized_mode(self):
         script = textwrap.dedent(
             """
@@ -205,6 +216,12 @@ class TestKMeansGuards:
                 pass
             else:
                 raise SystemExit("kmeans without initializations did not raise")
+            try:
+                c._cluster_means(points, np.zeros(6, dtype=np.intp), 2)
+            except ContractError:
+                pass
+            else:
+                raise SystemExit("an empty cluster's mean did not raise")
             real_means = c._cluster_means
             c._cluster_means = lambda *args: real_means(*args) + 100.0
             try:
@@ -223,6 +240,114 @@ class TestKMeansGuards:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "guarded"
+
+
+def duplicate_heavy_inputs(count, seed):
+    """Seeded (points, k, seed) triples with n in 1..40 drawn from few
+    distinct rows: a third of them 0/1 rows, and some with every row equal,
+    so k-means++ seeding meets an all-zero distance row and Lloyd iterations
+    leave clusters empty."""
+    rng = np.random.default_rng(seed)
+    inputs = []
+    for i in range(count):
+        n = int(rng.integers(1, 41))
+        distinct = 1 if i % 10 == 0 else int(rng.integers(1, n + 1))
+        dim = int(rng.integers(1, 6))
+        if i % 3 == 0:
+            rows = rng.integers(0, 2, size=(distinct, dim)).astype(np.float64)
+        else:
+            rows = rng.uniform(size=(distinct, dim))
+        points = rows[rng.integers(distinct, size=n)]
+        inputs.append((points, int(rng.integers(1, n + 1)), int(rng.integers(1 << 30))))
+    return inputs
+
+
+def assert_same_kmeans(got, want):
+    assert np.array_equal(got.assignment, want.assignment)
+    assert np.array_equal(got.centroids, want.centroids)
+    assert got.sse == want.sse
+
+
+class TestKMeansOracle:
+    """`kmeans` and `sse_curve` against the loop-per-cluster reference in
+    tests/helpers.py: assignments, centroids and SSE must be bit-equal."""
+
+    def test_kmeans_bit_equal_on_duplicate_heavy_inputs(self):
+        inputs = duplicate_heavy_inputs(240, seed=10)
+        for points, k, seed in inputs:
+            assert_same_kmeans(kmeans(points, k, seed=seed), reference_kmeans(points, k, seed=seed))
+        assert any(len(np.unique(p, axis=0)) == 1 and k > 1 for p, k, _ in inputs)
+        assert any(len(np.unique(p, axis=0)) < k for p, k, _ in inputs)
+
+    def test_sse_curve_bit_equal_on_duplicate_heavy_inputs(self):
+        for points, _, seed in duplicate_heavy_inputs(40, seed=11):
+            points = points[:12]
+            assert np.array_equal(sse_curve(points, seed=seed), reference_sse_curve(points, seed=seed))
+
+    def test_bit_equal_on_planted_model_calibration_features(self):
+        weights, _ = acceptance_fixture()
+        config = weights.config
+        for sample, tokens in enumerate(acceptance_corpus(config, samples=2)):
+            trace = _traced_prefix(weights, tokens[:5])
+            for layer in range(config.num_layers):
+                features = extract_features(trace, layer, (1, 5))
+                seed = 1000 * sample + layer
+                assert np.array_equal(
+                    sse_curve(features, seed=seed), reference_sse_curve(features, seed=seed)
+                )
+                for k in (2, 8, 13):
+                    assert_same_kmeans(
+                        kmeans(features, k, seed=seed), reference_kmeans(features, k, seed=seed)
+                    )
+
+
+class TestRepairEmpty:
+    """Each empty cluster, in ascending order, takes the point farthest from
+    its centroid (ties to the lowest index) from a cluster that keeps a member."""
+
+    @staticmethod
+    def repair(points, assignment, centroids):
+        points = np.asarray(points, dtype=np.float64)
+        centroids = np.asarray(centroids, dtype=np.float64)
+        d2 = clustering_mod._sqdist(points, centroids)
+        return clustering_mod._repair_empty(points, np.asarray(assignment), centroids, d2)
+
+    def test_equal_distances_go_to_lowest_index(self):
+        assignment, centroids = self.repair([[5.0], [1.0], [-1.0]], [1, 0, 0], [[0.0], [5.0], [50.0]])
+        assert assignment.tolist() == [1, 2, 0]
+        assert centroids.tolist() == [[0.0], [5.0], [1.0]]
+
+    def test_empty_clusters_filled_in_order_from_farthest_donor(self):
+        assignment, centroids = self.repair(
+            [[0.0], [3.0], [1.0], [2.0]], [0, 0, 0, 0], [[0.0], [40.0], [50.0]]
+        )
+        assert assignment.tolist() == [0, 1, 0, 2]
+        assert centroids.tolist() == [[0.0], [3.0], [2.0]]
+
+    def test_two_member_cluster_donates_once(self):
+        assignment, centroids = self.repair(
+            [[8.0], [-8.0], [1.0], [2.0], [4.0]],
+            [0, 0, 1, 1, 1],
+            [[0.0], [2.0], [50.0], [60.0]],
+        )
+        assert assignment.tolist() == [2, 0, 1, 1, 3]
+        assert centroids.tolist() == [[0.0], [2.0], [8.0], [4.0]]
+
+    def test_full_clusters_returned_unchanged(self):
+        points = np.array([[0.0], [1.0]])
+        assignment = np.array([0, 1])
+        centroids = np.array([[0.0], [1.0]])
+        got = clustering_mod._repair_empty(points, assignment, centroids, np.zeros((2, 2)))
+        assert got[0] is assignment and got[1] is centroids
+
+    @pytest.mark.parametrize(
+        "assignment, k", [([0, 1], 3), ([0, 0, 1], 4)], ids=["no_donor", "donors_run_out"]
+    )
+    def test_no_donor_raises(self, assignment, k):
+        points = [[float(i)] for i in range(len(assignment))]
+        centroids = [[float(c)] for c in range(k)]
+        with pytest.raises(ContractError, match="no donor point available"):
+            self.repair(points, assignment, centroids)
 
 
 class TestSseCurve:
