@@ -7,12 +7,19 @@ already commensurate in [0, 1]); k-means uses k-means++ seeding, best-of-N
 restarts, and deterministic empty-cluster repair. Everything is pure and
 deterministic given (input order, seed).
 
-k-means makes no Python loop per cluster: one pairwise distance matrix per
-`kmeans` call serves every restart's seeding, cluster means come from one
-stacked block per distinct cluster size, and the empty-cluster repair is one
-walk down the points by falling distance. Each is bit-equal to the
-per-cluster reference `reference_kmeans` in tests/helpers.py, which the tests
-hold it to.
+k-means makes no Python loop per cluster or per restart iteration. One
+pairwise distance matrix serves every restart's seeding (and every count of
+an `sse_curve`). Each weighted k-means++ draw is `rng.choice`'s own
+cumulative-sum search with one `rng.random()`, without its argument checks;
+the draws stay sequential, so the random stream is used exactly as before.
+Lloyd's iterations run the restarts as one (R, k, dim) batch, each restart
+stopping on its own SSE test; the restarts go in groups whose (R, n, dim)
+float64 temporaries fit LLOYD_BUFFER_BYTES, so wide identification features
+stay cache-sized. Cluster means come from one stacked block per distinct
+cluster size across the batch, and the empty-cluster repair is one walk down
+the points by falling distance, for each restart that has an empty cluster.
+Each is bit-equal to the per-cluster reference `reference_kmeans` in
+tests/helpers.py, which the tests hold it to.
 """
 
 from __future__ import annotations
@@ -28,6 +35,14 @@ from .plan import ClusterPlan
 DEFAULT_RESTARTS = 10
 MAX_ITERATIONS = 100
 RELATIVE_TOL = 1e-6  # Lloyd stops when an iteration cuts SSE by at most this share
+# Budget for one restart group's float64 (restarts, n, dim) temporaries in
+# Lloyd's iterations. At 256 KiB calibration's 32 x 25 features run all
+# restarts as one group and identification's 32 x 1305 or 32 x 2585 ones one
+# restart per group. Larger groups of wide features were slower (all ten
+# restarts of 32 x 2585 in one group took 1.4 to 2.3 times as long), and
+# 1 MiB temporaries raised glibc's dynamic mmap threshold enough to add 4 MB
+# to peak RSS.
+LLOYD_BUFFER_BYTES = 256 << 10
 
 
 def extract_features(trace: AttentionTrace, layer: int, window: tuple[int, int]) -> np.ndarray:
@@ -67,33 +82,42 @@ def kmeans(
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
     extra_inits=None,
+    *,
+    _pairwise=None,
 ) -> KMeansResult:
     """Lloyd's algorithm, k-means++ seeded, best of `restarts` by SSE.
 
     Empty clusters are repaired by reassigning the point farthest from its
     centroid. `extra_inits` adds caller-provided centroid seeds to the restart
-    pool (used to keep error curves monotone in k).
+    pool (used to keep error curves monotone in k); the earliest init wins an
+    SSE tie. `_pairwise` is `_pairwise_sqdist(points)` when the caller already
+    has it.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ShapeError(f"kmeans expects (n, dim) points, got shape {points.shape}")
-    n = points.shape[0]
+    n, dim = points.shape
     if not 1 <= k <= n:
         raise ValidationError(f"cluster count {k} outside [1, {n}]")
+    if not np.isfinite(points).all():
+        raise ValidationError("kmeans points must be finite")
+    extra = [np.asarray(init, dtype=np.float64) for init in extra_inits or ()]
+    if any(init.shape != (k, dim) for init in extra):
+        raise ShapeError(f"every extra init must be ({k}, {dim}) centroids")
 
     rng = np.random.default_rng(seed)
-    pairwise = _pairwise_sqdist(points)
-    inits = [points[_kmeanspp_seeds(pairwise, k, rng)] for _ in range(restarts)]
-    for init in extra_inits or ():
-        inits.append(np.asarray(init, dtype=np.float64))
-
-    best: KMeansResult | None = None
-    for init in inits:
-        result = _lloyd(points, init)
-        if best is None or result.sse < best.sse:
-            best = result
-    if best is None:
+    pairwise = _pairwise_sqdist(points) if _pairwise is None else _pairwise
+    inits = [points[_kmeanspp_seeds(pairwise, k, rng)] for _ in range(restarts)] + extra
+    if not inits:
         raise ContractError("kmeans has no initialization to run (restarts=0, no extra_inits)")
+
+    group = max(1, LLOYD_BUFFER_BYTES // max(8 * points.size, 1))
+    best: KMeansResult | None = None
+    for lo in range(0, len(inits), group):
+        assignment, centroids, sse = _lloyd(points, np.stack(inits[lo : lo + group]))
+        r = int(sse.argmin())
+        if best is None or sse[r] < best.sse:
+            best = KMeansResult(assignment[r], centroids[r], float(sse[r]))
     return best
 
 
@@ -108,44 +132,67 @@ def _pairwise_sqdist(points: np.ndarray) -> np.ndarray:
 
 
 def _kmeanspp_seeds(pairwise: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
-    """Indices of k k-means++ seed points, read from the pairwise distances."""
+    """Indices of k k-means++ seed points, read from the pairwise distances.
+
+    Each weighted draw is `rng.choice(n, p=d2 / total)` without its argument
+    checks: the same cumulative sum, normalization and single `rng.random()`.
+    """
     n = pairwise.shape[0]
     chosen = [int(rng.integers(n))]
     d2 = pairwise[chosen[0]]
-    for _ in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
+    while len(chosen) < k:
+        total = np.add.reduce(d2)
+        if total <= 0.0:  # every point is a seed's duplicate, and stays one
+            chosen += [int(rng.integers(n)) for _ in range(k - len(chosen))]
+            break
+        cdf = (d2 / total).cumsum()
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
         chosen.append(idx)
         d2 = np.minimum(d2, pairwise[idx])
     return chosen
 
 
-def _sqdist(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    p2 = (points**2).sum(axis=1)[:, None]
-    c2 = (centroids**2).sum(axis=1)[None, :]
-    return np.maximum(p2 + c2 - 2.0 * points @ centroids.T, 0.0)
+def _sqdist(points: np.ndarray, centroids: np.ndarray, p2=None) -> np.ndarray:
+    """(n, k) squared distances to (k, dim) centroids, or (R, n, k) to an
+    (R, k, dim) stack of them; each slice has the bits of the 2-D case.
+    `p2` is the points' squared norms as an (n, 1) column, if already known."""
+    if p2 is None:
+        p2 = (points**2).sum(axis=1)[:, None]
+    c2 = (centroids**2).sum(axis=-1)[..., None, :]
+    return np.maximum(p2 + c2 - 2.0 * np.matmul(points, np.swapaxes(centroids, -1, -2)), 0.0)
+
+
+def _sse(points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """(R,) SSEs of an (R, k, dim) centroid stack under (R, n) assignments,
+    each bit-equal to `((points - centroids[r][assignment[r]]) ** 2).sum()`."""
+    diff = centroids[np.arange(len(assignment))[:, None], assignment]
+    np.subtract(points, diff, out=diff)
+    np.square(diff, out=diff)
+    return diff.reshape(len(diff), points.size).sum(axis=1)
 
 
 def _cluster_means(points: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
-    """Per-cluster means, bit-equal to `points[assignment == c].mean(axis=0)`.
+    """Per-cluster means, bit-equal to `points[assignment == c].mean(axis=0)`:
+    (k, dim) for an (n,) assignment, (R, k, dim) for an (R, n) stack.
 
-    Clusters of one size are stacked, each one's points in input order, into
-    a (clusters, size, dim) block. Its sum over axis 1 adds up each cluster's
-    (size, dim) rows in the same order as that cluster's own `mean`, which
-    divides the same sum by the count. (A `np.add.reduceat` over the sorted
-    points is not bit-equal: it adds the first row to a pairwise sum of the
-    rest.)
+    The clusters of every restart are pooled. Those of one size are stacked,
+    each one's points in input order, into a (clusters, size, dim) block. Its
+    sum over axis 1 adds up each cluster's (size, dim) rows in the same order
+    as that cluster's own `mean`, which divides the same sum by the count. (A
+    `np.add.reduceat` over the sorted points is not bit-equal: it adds the
+    first row to a pairwise sum of the rest.)
     """
-    counts = np.bincount(assignment, minlength=k)
+    n, dim = points.shape
+    runs = assignment.size // n
+    labels = (assignment.reshape(runs, n) + k * np.arange(runs)[:, None]).ravel()
+    total = runs * k
+    counts = np.bincount(labels, minlength=total)
     if not counts.all():
-        raise ContractError(f"cluster {int(np.argmin(counts))} became empty despite repair")
-    dim = points.shape[1]
-    rows = points[np.argsort(counts[assignment] * k + assignment, kind="stable")]
+        raise ContractError(f"cluster {int(np.argmin(counts)) % k} became empty despite repair")
+    rows = points[np.argsort(counts[labels] * total + labels, kind="stable") % n]
     clusters = np.argsort(counts, kind="stable")
-    means = np.empty((k, dim), dtype=np.float64)
+    means = np.empty((total, dim), dtype=np.float64)
     row = first = 0
     for size, group in enumerate(np.bincount(counts).tolist()):
         if group:
@@ -153,7 +200,7 @@ def _cluster_means(points: np.ndarray, assignment: np.ndarray, k: int) -> np.nda
             means[clusters[first : first + group]] = block.sum(axis=1) / size
             row += size * group
             first += group
-    return means
+    return means.reshape(assignment.shape[:-1] + (k, dim))
 
 
 def _repair_empty(points, assignment, centroids, d2):
@@ -186,38 +233,55 @@ def _repair_empty(points, assignment, centroids, d2):
     raise ContractError("no donor point available for empty-cluster repair")
 
 
-def _lloyd(points: np.ndarray, init: np.ndarray) -> KMeansResult:
-    centroids = init.copy()
-    k = centroids.shape[0]
-    prev_sse = np.inf
-    assignment = np.zeros(points.shape[0], dtype=np.intp)
+def _lloyd(points: np.ndarray, inits: np.ndarray):
+    """Lloyd's iterations from an (R, k, dim) stack of inits, all restarts at
+    once; each stops on its own SSE test, exactly where it would alone.
+
+    Returns the (R, n) assignments, (R, k, dim) centroids and (R,) SSEs.
+    """
+    restarts, k, _ = inits.shape
+    assignment = np.empty((restarts, points.shape[0]), dtype=np.intp)
+    active = np.arange(restarts)  # the restarts still iterating, in order
+    live = inits.copy()  # their centroids
+    prev_sse = np.full(restarts, np.inf)
+    p2 = (points**2).sum(axis=1)[:, None]
     for _ in range(MAX_ITERATIONS):
-        d2 = _sqdist(points, centroids)
-        assignment = d2.argmin(axis=1)
-        assignment, centroids = _repair_empty(points, assignment, centroids, d2)
-        sse = float(((points - centroids[assignment]) ** 2).sum())
-        if sse > prev_sse + 1e-9:
+        d2 = _sqdist(points, live, p2)
+        labels = d2.argmin(axis=2)
+        counts = np.bincount((labels + k * np.arange(len(active))[:, None]).ravel(),
+                             minlength=len(active) * k)
+        for r in np.flatnonzero((counts.reshape(-1, k) == 0).any(axis=1)).tolist():
+            labels[r], live[r] = _repair_empty(points, labels[r], live[r], d2[r])
+        sse = _sse(points, live, labels)
+        increased = np.flatnonzero(sse > prev_sse + 1e-9)
+        if increased.size:
+            r = increased[0]
             raise ContractError(
-                f"SSE increased across a Lloyd iteration ({prev_sse!r} -> {sse!r})"
+                "SSE increased across a Lloyd iteration "
+                f"({float(prev_sse[r])!r} -> {float(sse[r])!r})"
             )
-        if np.isfinite(prev_sse) and prev_sse - sse <= RELATIVE_TOL * max(prev_sse, 1e-12):
-            prev_sse = sse
+        assignment[active] = labels
+        cut = prev_sse - sse
+        done = np.isfinite(prev_sse) & (cut <= RELATIVE_TOL * np.maximum(prev_sse, 1e-12))
+        if done.all():
             break
-        prev_sse = sse
-        centroids = _cluster_means(points, assignment, k)
+        going = ~done
+        active, prev_sse, labels = active[going], sse[going], labels[going]
+        live = _cluster_means(points, labels, k)
     centroids = _cluster_means(points, assignment, k)
-    sse = float(((points - centroids[assignment]) ** 2).sum())
-    return KMeansResult(assignment=assignment, centroids=centroids, sse=sse)
+    return assignment, centroids, _sse(points, centroids, assignment)
 
 
 def sse_curve(points, seed: int = 0) -> np.ndarray:
     """SSE at every cluster count from 1 to the number of points.
 
     Each count's restart pool is warm-started by splitting the previous
-    solution, so the curve is non-increasing by construction.
+    solution, so the curve is non-increasing by construction. Every count's
+    `kmeans` call shares one pairwise distance matrix.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
+    pairwise = _pairwise_sqdist(points)
     errors = np.empty(n, dtype=np.float64)
     prev: KMeansResult | None = None
     for k in range(1, n + 1):
@@ -226,7 +290,7 @@ def sse_curve(points, seed: int = 0) -> np.ndarray:
             own_dist = ((points - prev.centroids[prev.assignment]) ** 2).sum(axis=1)
             farthest = int(np.argmax(own_dist))
             extra.append(np.vstack([prev.centroids, points[farthest]]))
-        prev = kmeans(points, k, seed=seed, extra_inits=extra)
+        prev = kmeans(points, k, seed=seed, extra_inits=extra, _pairwise=pairwise)
         errors[k - 1] = prev.sse
     if np.any(np.diff(errors) > 1e-9):
         raise ContractError("cluster error curve is not non-increasing")

@@ -277,25 +277,36 @@ def load_weights(path) -> Weights:
         raise HeaderMismatchError(f"unreadable header: {exc}") from exc
     offset += header_len
 
+    # Check the header's sizes against the config before building anything
+    # whose size the config sets.
+    entry_count = 3 + config.num_layers * len(_layer_tensors(config))
+    if len(declared) != entry_count:
+        raise HeaderMismatchError(
+            f"header declares {len(declared)} tensors, its config implies {entry_count}"
+        )
     expected = _tensor_manifest(config)
     if declared != expected:
+        got, want = next((g, w) for g, w in zip(declared, expected) if g != w)
         raise HeaderMismatchError(
             "tensor manifest does not match the declared config "
-            f"(first difference: {_first_difference(declared, expected)})"
+            f"(first difference: declared {got}, expected {want})"
+        )
+    payload = 4 * sum(rows * cols for _, rows, cols in expected)
+    if len(data) - offset < payload:
+        raise TruncatedWeightsError(
+            f"file ends inside the payload: need {payload} bytes at offset {offset}, "
+            f"{len(data) - offset} left"
+        )
+    if len(data) - offset > payload:
+        raise HeaderMismatchError(
+            f"{len(data) - offset - payload} trailing bytes after the payload"
         )
 
     arrays = {}
     for name, rows, cols in expected:
-        nbytes = rows * cols * 4
-        if len(data) < offset + nbytes:
-            raise TruncatedWeightsError(
-                f"file ends inside tensor {name!r}: need {nbytes} bytes at offset {offset}"
-            )
         flat = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=offset)
         arrays[name] = flat.astype(np.float32).reshape(rows, cols)
-        offset += nbytes
-    if offset != len(data):
-        raise HeaderMismatchError(f"{len(data) - offset} trailing bytes after the payload")
+        offset += rows * cols * 4
 
     def tensor(name):
         # a norm gain is a vector, stored as a 1-row matrix
@@ -312,13 +323,6 @@ def load_weights(path) -> Weights:
         final_norm_gain=tensor("final_norm_gain"),
         output_projection=tensor("output_projection"),
     )
-
-
-def _first_difference(declared, expected) -> str:
-    for got, want in zip(declared, expected):
-        if got != want:
-            return f"declared {got}, expected {want}"
-    return f"declared {len(declared)} tensors, expected {len(expected)}"
 
 
 def weights_equal(a: Weights, b: Weights) -> bool:

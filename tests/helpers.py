@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite: tiny configs and planted-redundancy models."""
 
+import json
+import struct
+
 import numpy as np
 
 from chai.attention import PlanTensors, _head_scale, _project_heads, _to_cache_layout
@@ -58,6 +61,17 @@ def redundant_fixture(counts, seed=0, **overrides):
     plan = grouped_plan(config.num_layers, config.num_heads, counts)
     weights = make_redundant(init_random(config, seed), plan)
     return weights, plan
+
+
+def rewrite_header_config(path, **fields) -> None:
+    """Overwrite config fields in a CHAIWGT1 file's JSON header, leaving its
+    tensor manifest and payload as they are."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12 : 12 + header_len])
+    header["config"].update(fields)
+    new_header = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header + raw[12 + header_len :])
 
 
 def random_prompt(config: ModelConfig, length: int, seed=0) -> list[int]:

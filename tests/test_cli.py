@@ -2,13 +2,18 @@
 
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chai
 from chai.cli import main
 from chai.model import load_weights, save_weights
-from helpers import fixture_profile, redundant_fixture, small_weights
+from helpers import fixture_profile, redundant_fixture, rewrite_header_config, small_weights
 
 
 def read_json(path):
@@ -601,6 +606,31 @@ class TestExitCodes:
         assert "--trace" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_header_with_a_billion_layers_is_usage_error(self, tmp_path):
+        # The header claims 10**9 layers over a 2-layer file. Loading must
+        # compare sizes before building anything sized by the header; the
+        # child runs under a 512 MiB address-space cap, so building such a
+        # manifest fails there instead of exhausting the machine.
+        wpath, _ = write_small_model(tmp_path)
+        rewrite_header_config(wpath, num_layers=10**9)
+        prompt_path = tmp_path / "prompt.bin"
+        np.array([1, 2], dtype="<i4").tofile(prompt_path)
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(chai.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chai.cli", "generate", "--weights", str(wpath),
+             "--prompt", str(prompt_path), "--steps", "2", "--out", str(tmp_path / "r.json")],
+            env=dict(os.environ, PYTHONPATH=src_dir), capture_output=True, text=True,
+            preexec_fn=cap_address_space, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "header declares 21 tensors, its config implies 9000000003" in lines[0]
 
 
 def exit_code(argv) -> int:

@@ -9,8 +9,10 @@ import pytest
 
 import chai
 import chai.clustering as clustering_mod
+import helpers
 from chai.attention import AttentionTrace
 from chai.clustering import (
+    DEFAULT_RESTARTS,
     choose_representatives,
     cluster_size_histogram,
     correlation_matrix,
@@ -153,6 +155,17 @@ class TestKMeans:
     def test_k_larger_than_points_rejected(self):
         with pytest.raises(ValidationError):
             kmeans(np.zeros((3, 2)), 4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, value):
+        points = np.zeros((4, 2))
+        points[2, 1] = value
+        with pytest.raises(ValidationError, match="finite"):
+            kmeans(points, 2)
+
+    def test_extra_init_of_other_shape_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\) centroids"):
+            kmeans(np.zeros((4, 3)), 2, extra_inits=[np.zeros((3, 3))])
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
@@ -299,6 +312,125 @@ class TestKMeansOracle:
                     assert_same_kmeans(
                         kmeans(features, k, seed=seed), reference_kmeans(features, k, seed=seed)
                     )
+
+    def test_bit_equal_on_wide_features(self):
+        # Identification-width features: at the default buffer budget the
+        # restarts run in several groups.
+        rng = np.random.default_rng(12)
+        for n, k in ((16, 2), (24, 5), (32, 9)):
+            rows = rng.uniform(size=(6, 2100)) * (rng.uniform(size=(6, 2100)) < 0.02)
+            points = rows[rng.integers(6, size=n)] + 1e-3 * rng.uniform(size=(n, 2100))
+            assert clustering_mod.LLOYD_BUFFER_BYTES // (8 * points.size) < DEFAULT_RESTARTS
+            seed = int(rng.integers(1 << 30))
+            assert_same_kmeans(kmeans(points, k, seed=seed), reference_kmeans(points, k, seed=seed))
+
+    def test_bit_equal_when_restarts_repair_and_converge_apart(self, monkeypatch):
+        """Several restarts repair an empty cluster in the same iteration, and
+        restarts stop at different iterations; the oracle's own run shows both."""
+        repairs, iterations = [], []
+        real_lloyd, real_repair = helpers._reference_lloyd, helpers._reference_repair_empty
+
+        def lloyd(points, init):
+            iterations.append(0)
+            return real_lloyd(points, init)
+
+        def repair(points, assignment, centroids, d2):
+            iterations[-1] += 1
+            if np.bincount(assignment, minlength=len(centroids)).min() == 0:
+                repairs.append((len(iterations), iterations[-1]))
+            return real_repair(points, assignment, centroids, d2)
+
+        monkeypatch.setattr(helpers, "_reference_lloyd", lloyd)
+        monkeypatch.setattr(helpers, "_reference_repair_empty", repair)
+        same_iteration_repairs = spread_convergence = False
+        for points, k, seed in duplicate_heavy_inputs(60, seed=13):
+            repairs.clear()
+            iterations.clear()
+            want = reference_kmeans(points, k, seed=seed)
+            assert_same_kmeans(kmeans(points, k, seed=seed), want)
+            at = [iteration for _, iteration in repairs]
+            same_iteration_repairs |= any(at.count(i) > 1 for i in at)
+            spread_convergence |= len(set(iterations)) > 1
+        assert same_iteration_repairs and spread_convergence
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_bit_equal_at_the_iteration_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(clustering_mod, "MAX_ITERATIONS", cap)
+        monkeypatch.setattr(helpers, "MAX_ITERATIONS", cap)
+        for points, k, seed in duplicate_heavy_inputs(60, seed=14):
+            assert_same_kmeans(kmeans(points, k, seed=seed), reference_kmeans(points, k, seed=seed))
+        weights, _ = acceptance_fixture()
+        trace = _traced_prefix(weights, acceptance_corpus(weights.config, samples=1)[0][:5])
+        features = extract_features(trace, 0, (1, 5))
+        for k in (3, 8):
+            assert_same_kmeans(kmeans(features, k, seed=k), reference_kmeans(features, k, seed=k))
+
+    def test_bit_equal_with_only_extra_inits(self):
+        rng = np.random.default_rng(15)
+        for points, k, seed in duplicate_heavy_inputs(40, seed=15):
+            n, dim = points.shape
+            extra = [points[rng.integers(n, size=k)] + rng.uniform(size=(k, dim))
+                     for _ in range(int(rng.integers(1, 4)))]
+            got = kmeans(points, k, seed=seed, restarts=0, extra_inits=extra)
+            assert_same_kmeans(got, reference_kmeans(points, k, seed=seed, restarts=0, extra_inits=extra))
+        with pytest.raises(ContractError, match="no initialization"):
+            kmeans(points, k, restarts=0, extra_inits=[])
+
+    @pytest.mark.parametrize("budget", [1, 1 << 20], ids=["one_per_group", "one_group"])
+    def test_restart_beats_an_extra_init_of_equal_sse(self, monkeypatch, budget):
+        monkeypatch.setattr(clustering_mod, "LLOYD_BUFFER_BYTES", budget)
+        rng = np.random.default_rng(16)
+        points = np.vstack([rng.normal(c, 0.1, size=(5, 3)) for c in (0.0, 4.0, 8.0)])
+        best = kmeans(points, 3, seed=2)
+        relabelled = best.centroids[::-1].copy()  # the same partition, clusters reversed
+        got = kmeans(points, 3, seed=2, extra_inits=[relabelled])
+        alone = kmeans(points, 3, seed=2, restarts=0, extra_inits=[relabelled])
+        assert alone.sse == best.sse
+        assert not np.array_equal(alone.assignment, best.assignment)
+        assert_same_kmeans(got, best)
+        assert_same_kmeans(got, reference_kmeans(points, 3, seed=2, extra_inits=[relabelled]))
+
+
+def choice_seeds(pairwise, k, rng):
+    """k-means++ seed indices drawn with `rng.choice`, as `kmeans` first did."""
+    n = len(pairwise)
+    chosen = [int(rng.integers(n))]
+    d2 = pairwise[chosen[0]]
+    for _ in range(1, k):
+        total = d2.sum()
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        chosen.append(idx)
+        d2 = np.minimum(d2, pairwise[idx])
+    return chosen
+
+
+class TestKMeansppDraw:
+    """`_kmeanspp_seeds` re-derives `rng.choice(n, p=...)`: the same indices
+    and the same use of the random stream. A numpy release that changes
+    `choice` fails here."""
+
+    @pytest.mark.parametrize("kind", ["many_zero_distances", "single_nonzero_distance"])
+    def test_same_indices_and_stream_as_rng_choice(self, kind):
+        rng = np.random.default_rng(17)
+        later_seeds = 0
+        for n in range(1, 41):
+            if kind == "many_zero_distances":
+                rows = rng.integers(0, 2, size=(max(1, n // 4), 3)).astype(np.float64)
+                points = rows[rng.integers(len(rows), size=n)]
+            else:
+                points = np.zeros((n, 2))
+                points[int(rng.integers(n))] = rng.uniform(0.5, 2.0, size=2)
+            pairwise = clustering_mod._pairwise_sqdist(points)
+            for seed in range(5):
+                k = int(rng.integers(1, n + 1))
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(3):  # consecutive restarts share one stream
+                    assert clustering_mod._kmeanspp_seeds(pairwise, k, ours) == choice_seeds(
+                        pairwise, k, theirs
+                    )
+                    later_seeds += k - 1
+                assert ours.bit_generator.state == theirs.bit_generator.state
+        assert later_seeds > 1000
 
 
 class TestRepairEmpty:

@@ -18,7 +18,7 @@ from chai.model import (
     weights_equal,
 )
 from chai.plan import ClusterPlan
-from helpers import grouped_plan, small_config, small_weights
+from helpers import grouped_plan, rewrite_header_config, small_config, small_weights
 
 
 def splitmix64_reference(seed, count):
@@ -166,19 +166,17 @@ class TestWeightFile:
     def test_header_declaring_other_dims_than_payload(self, tmp_path):
         # Header config says model_dim=64 but the manifest/payload were
         # written for model_dim=32: a shape mismatch, not truncation.
-        import json
-        import struct
-
         path = tmp_path / "lying.bin"
         save_weights(small_weights(), path)
-        raw = path.read_bytes()
-        (header_len,) = struct.unpack_from("<I", raw, 8)
-        header = json.loads(raw[12 : 12 + header_len])
-        header["config"]["model_dim"] = 64
-        header["config"]["head_dim"] = 16
-        new_header = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(raw[:8] + struct.pack("<I", len(new_header)) + new_header + raw[12 + header_len :])
+        rewrite_header_config(path, model_dim=64, head_dim=16)
         with pytest.raises(HeaderMismatchError):
+            load_weights(path)
+
+    def test_header_with_more_layers_than_its_manifest(self, tmp_path):
+        path = tmp_path / "deeper.bin"
+        save_weights(small_weights(), path)
+        rewrite_header_config(path, num_layers=3)
+        with pytest.raises(HeaderMismatchError, match="declares 21 tensors, its config implies 30"):
             load_weights(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
