@@ -9,10 +9,14 @@ which prunes nothing and selects no weight columns; only under it does the
 kernel attend several causal rows at once, as prefill does. `mha_forward`,
 prefill's entry point, delegates to the kernel under that plan.
 The head layout (`plan.HeadLayout`) says which key and value heads a cache
-stores: a `KVCache` is built in one, `prune_cache` copies exactly the rows a
-frozen plan's layout names, which drops key storage for non-representative
-heads and, under the value-reuse variant only, their value rows too, and
-`PlanTensors` gathers only the weight columns the layout reads.
+stores: a `KVCache` is built in one layout, which it keeps, with room for
+the positions its caller asks for (a request's prompt plus its decode
+steps, never the model's `max_seq_len`). `prune_cache` copies exactly the
+rows a frozen plan's layout names into a cache of the same capacity, which
+drops key storage for non-representative heads and, under the value-reuse
+variant only, their value rows too, and `PlanTensors` gathers only the
+weight columns the layout reads. The kernel runs only when the cache and
+the plan tensors share one layout object.
 
 Cache ownership: a KVCache belongs to exactly one in-flight request. Layer
 weights are read-only and shareable.
@@ -40,16 +44,14 @@ SCORE_BUFFER_BYTES = 1 << 20
 class LayerCache:
     """Preallocated per-layer key/value storage.
 
-    `keys` holds one plane per stored key head (all heads before pruning,
-    representatives after); `values` holds one plane per stored value head.
-    Only the first `length` positions of each plane are live.
+    `keys` holds one plane per stored key head and `values` one per stored
+    value head, in the order the owning cache's layout lists them. Only the
+    first `length` positions of each plane are live.
     """
 
-    def __init__(self, key_heads: list[int], value_heads: list[int], capacity: int, head_dim: int):
-        self.stored_key_heads = list(key_heads)
-        self.stored_value_heads = list(value_heads)
-        self.keys = np.zeros((len(key_heads), capacity, head_dim), dtype=np.float32)
-        self.values = np.zeros((len(value_heads), capacity, head_dim), dtype=np.float32)
+    def __init__(self, key_planes: int, value_planes: int, capacity: int, head_dim: int):
+        self.keys = np.zeros((key_planes, capacity, head_dim), dtype=np.float32)
+        self.values = np.zeros((value_planes, capacity, head_dim), dtype=np.float32)
         self.length = 0
 
     def append(self, new_keys: np.ndarray, new_values: np.ndarray) -> None:
@@ -71,16 +73,17 @@ class LayerCache:
 
 
 class KVCache:
-    """One LayerCache per layer, storing the heads `layout` names (by default
-    the singleton layout's: every head). `pruned` marks a cache made by
-    `prune_cache`."""
+    """One LayerCache per layer with room for `capacity` positions of every
+    key and value head `layout` names. `pruned` marks a cache made by
+    `prune_cache`, whose layout may still equal the singleton one."""
 
-    def __init__(self, config: ModelConfig, layout: HeadLayout | None = None, pruned=False):
+    def __init__(self, config: ModelConfig, layout: HeadLayout, capacity: int, pruned=False):
         self.config = config
+        self.layout = layout
+        self.capacity = capacity
         self.pruned = pruned
-        layout = layout or HeadLayout.singleton(config)
         self.layers = [
-            LayerCache(key_heads, value_heads, config.max_seq_len, config.head_dim)
+            LayerCache(len(key_heads), len(value_heads), capacity, config.head_dim)
             for key_heads, value_heads in zip(layout.key_heads, layout.value_heads)
         ]
 
@@ -93,25 +96,24 @@ class KVCache:
             "length": self.length,
             "pruned": self.pruned,
             "layers": [
-                {
-                    "stored_key_heads": list(lc.stored_key_heads),
-                    "stored_value_heads": list(lc.stored_value_heads),
-                }
-                for lc in self.layers
+                {"stored_key_heads": list(key_heads), "stored_value_heads": list(value_heads)}
+                for key_heads, value_heads in zip(self.layout.key_heads, self.layout.value_heads)
             ],
         }
 
 
 def prune_cache(cache: KVCache, layout: HeadLayout) -> KVCache:
-    """A new cache in `layout` holding the unpruned `cache`'s rows of the key
-    and value heads the layout names; the sequence length is unchanged."""
+    """A new cache in `layout`, at the unpruned `cache`'s capacity, holding
+    its rows of the key and value heads the layout names; the sequence
+    length is unchanged."""
     if cache.pruned:
         raise ContractError("cache is already pruned")
-    pruned = KVCache(cache.config, layout, pruned=True)
-    for lc, new_lc in zip(cache.layers, pruned.layers, strict=True):
+    pruned = KVCache(cache.config, layout, cache.capacity, pruned=True)
+    per_layer = zip(cache.layers, pruned.layers, layout.key_heads, layout.value_heads, strict=True)
+    for lc, new_lc, key_heads, value_heads in per_layer:
         # unpruned, so head h's planes sit in row h
-        new_lc.keys[:, : lc.length, :] = lc.keys[new_lc.stored_key_heads, : lc.length, :]
-        new_lc.values[:, : lc.length, :] = lc.values[new_lc.stored_value_heads, : lc.length, :]
+        new_lc.keys[:, : lc.length, :] = lc.keys[key_heads, : lc.length, :]
+        new_lc.values[:, : lc.length, :] = lc.values[value_heads, : lc.length, :]
         new_lc.length = lc.length
     return pruned
 
@@ -316,16 +318,16 @@ def clustered_forward(
     lc = cache.layers[layer]
     pt = plan_tensors
     layout = pt.layout
-    expected = (layout.key_heads[layer], layout.value_heads[layer])
-    if (lc.stored_key_heads, lc.stored_value_heads) != expected:
+    if cache.layout is not layout:
         raise ModeMismatchError(
-            f"cache stores key heads {lc.stored_key_heads} and value heads "
-            f"{lc.stored_value_heads}; the plan expects {expected[0]} and {expected[1]}"
+            f"cache stores key heads {cache.layout.key_heads} and value heads "
+            f"{cache.layout.value_heads}; the plan expects {layout.key_heads} "
+            f"and {layout.value_heads}"
         )
     if x.ndim != 2 or x.shape[1] != config.model_dim:
         raise ShapeError(f"expected (T, {config.model_dim}) input, got {x.shape}")
     tokens = x.shape[0]
-    slots = len(expected[0])
+    slots = len(layout.key_heads[layer])
     if tokens > 1 and slots != num_heads:
         raise ContractError(
             f"{tokens} rows under a plan of {slots} slots for {num_heads} heads: "

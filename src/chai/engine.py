@@ -7,6 +7,9 @@ Every forward pass goes through the one attention kernel,
 attention is the singleton plan (every head its own cluster): every mode
 prefills the prompt under it, through `mha_forward`. Each plan epoch has
 one `HeadLayout`, which the cache, the plan tensors and the accounting read.
+A request's cache holds exactly its prompt plus its decode steps; a
+calibration prefix's holds exactly the window. `max_seq_len` is only the
+limit both are checked against.
 
 Every request is two plan epochs. Decode steps 1..split run under the
 singleton plan over the unpruned cache; split is `steps` for MHA (the plan
@@ -327,7 +330,7 @@ def generate(
     split = {"MHA": steps, "CHAI_STATIC": 0}.get(mode, min(identify_at, steps))
 
     layouts = [HeadLayout.singleton(config)]  # one per plan epoch
-    cache = KVCache(config, layouts[0])
+    cache = KVCache(config, layouts[0], len(prompt) + steps)
     tensors = PlanTensors(layouts[0], weights.layers, config.head_dim)
     plan: ClusterPlan | None = None  # the frozen plan
     identification_ms = 0.0
@@ -413,7 +416,7 @@ def _traced_prefix(weights: Weights, token_ids) -> AttentionTrace:
     trace = AttentionTrace(config.num_layers, config.num_heads)
     layout = HeadLayout.singleton(config)
     tensors = PlanTensors(layout, weights.layers, config.head_dim)
-    prefill(weights, token_ids, KVCache(config, layout), tensors, trace)
+    prefill(weights, token_ids, KVCache(config, layout, len(token_ids)), tensors, trace)
     return trace
 
 
@@ -439,8 +442,8 @@ def calibrate(
         raise ValidationError(
             f"sample_count {sample_count} outside [1, {len(corpus)}]"
         )
-    if window < 1:
-        raise ValidationError(f"window must be >= 1, got {window}")
+    if not 1 <= window <= config.max_seq_len:
+        raise ValidationError(f"window must lie in [1, {config.max_seq_len}], got {window}")
     if not np.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
     if threshold < 0:

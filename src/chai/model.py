@@ -29,14 +29,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    ConfigError,
-    ContractError,
-    HeaderMismatchError,
-    TruncatedWeightsError,
-)
-from .plan import ClusterPlan
+from .errors import BadMagicError, ConfigError, HeaderMismatchError, TruncatedWeightsError
+from .plan import ClusterPlan, HeadLayout
 
 MAGIC = b"CHAIWGT1"
 
@@ -183,16 +177,9 @@ def make_redundant(weights: Weights, plan: ClusterPlan) -> Weights:
     fixture; all other tensors are untouched.
     """
     config = weights.config
-    if plan.num_layers != config.num_layers:
-        raise ContractError(
-            f"plan has {plan.num_layers} layers, model has {config.num_layers}"
-        )
+    HeadLayout(config, plan)  # rejects a plan shaped for another model
     out_layers = []
     for layer_weights, layer_plan in zip(weights.layers, plan.layers):
-        if layer_plan.num_heads != config.num_heads:
-            raise ContractError(
-                f"plan has {layer_plan.num_heads} heads, model has {config.num_heads}"
-            )
         # head h takes its cluster representative's block
         source = [layer_plan.representatives[c] for c in layer_plan.assignment]
         tensors = {}

@@ -27,8 +27,8 @@ from helpers import (
 
 def decode_mha(weights, x_rows, trace=None):
     """Run mha_forward step by step over one layer; returns per-step outputs."""
-    cache = KVCache(weights.config)
     tensors = singleton_tensors(weights)
+    cache = KVCache(weights.config, tensors.layout, len(x_rows))
     outs = [
         mha_forward(row[None, :], weights.layers[0], cache, 0, tensors, trace) for row in x_rows
     ]
@@ -38,21 +38,23 @@ def decode_mha(weights, x_rows, trace=None):
 class TestMhaForward:
     def test_first_token_attention_is_one(self):
         weights = small_weights()
-        cache = KVCache(weights.config)
+        tensors = singleton_tensors(weights)
+        cache = KVCache(weights.config, tensors.layout, 1)
         trace = AttentionTrace(2, 4)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 32)).astype(np.float32)
-        out = mha_forward(x, weights.layers[0], cache, 0, singleton_tensors(weights), trace)
+        out = mha_forward(x, weights.layers[0], cache, 0, tensors, trace)
         assert out.shape == (1, 32)
         for head in range(4):
             np.testing.assert_array_equal(trace.row(0, head, 1), [1.0])
 
     def test_first_token_output_is_projected_values(self):
         weights = small_weights()
-        cache = KVCache(weights.config)
+        tensors = singleton_tensors(weights)
+        cache = KVCache(weights.config, tensors.layout, 1)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 32)).astype(np.float32)
-        out = mha_forward(x, weights.layers[0], cache, 0, singleton_tensors(weights))
+        out = mha_forward(x, weights.layers[0], cache, 0, tensors)
         # With a single position every head's probability is 1, so the output
         # is just the concatenated value projections through wo.
         values = cache.layers[0].live_values()[:, 0, :].reshape(1, -1)
@@ -103,8 +105,8 @@ class TestMhaForward:
         want0 = (row0[0] * v[0]) @ lw.wo
         want1 = (row1[0] * v[0] + row1[1] * v[1]) @ lw.wo
 
-        cache = KVCache(config)
-        out = mha_forward(x, lw, cache, 0, singleton_tensors(weights))
+        tensors = singleton_tensors(weights)
+        out = mha_forward(x, lw, KVCache(config, tensors.layout, 2), 0, tensors)
         np.testing.assert_allclose(out[0], want0, atol=1e-6)
         np.testing.assert_allclose(out[1], want1, atol=1e-6)
 
@@ -113,8 +115,9 @@ class TestMhaForward:
         rng = np.random.default_rng(3)
         rows = rng.standard_normal((6, 32)).astype(np.float32) * 0.4
         step_outs, _ = decode_mha(weights, rows)
-        cache = KVCache(weights.config)
-        prefill_out = mha_forward(rows, weights.layers[0], cache, 0, singleton_tensors(weights))
+        tensors = singleton_tensors(weights)
+        cache = KVCache(weights.config, tensors.layout, 6)
+        prefill_out = mha_forward(rows, weights.layers[0], cache, 0, tensors)
         for i in range(6):
             np.testing.assert_allclose(prefill_out[i], step_outs[i][0], atol=1e-5)
 
@@ -125,9 +128,10 @@ class TestMhaForward:
         for p in (3, 5, 7):
             perturbed = rows.copy()
             perturbed[p] += 1.0
-            cache_a, cache_b = KVCache(weights.config), KVCache(weights.config)
-            trace_a, trace_b = AttentionTrace(2, 4), AttentionTrace(2, 4)
             tensors = singleton_tensors(weights)
+            cache_a = KVCache(weights.config, tensors.layout, 8)
+            cache_b = KVCache(weights.config, tensors.layout, 8)
+            trace_a, trace_b = AttentionTrace(2, 4), AttentionTrace(2, 4)
             out_a = mha_forward(rows, weights.layers[0], cache_a, 0, tensors, trace_a)
             out_b = mha_forward(perturbed, weights.layers[0], cache_b, 0, tensors, trace_b)
             np.testing.assert_array_equal(out_a[:p], out_b[:p])
@@ -139,10 +143,10 @@ class TestMhaForward:
 
     def test_pruned_cache_rejected(self):
         weights = small_weights()
-        cache = KVCache(weights.config)
+        tensors = singleton_tensors(weights)
+        cache = KVCache(weights.config, tensors.layout, 2)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 32)).astype(np.float32)
-        tensors = singleton_tensors(weights)
         mha_forward(x, weights.layers[0], cache, 0, tensors)
         pruned = prune_cache(cache, HeadLayout(weights.config, grouped_plan(2, 4, [2, 2])))
         with pytest.raises(ModeMismatchError):
@@ -156,17 +160,17 @@ class TestPrefillOracle:
     @pytest.mark.parametrize("prior", [0, 9])
     @pytest.mark.parametrize("tokens", [1, 2, 7, 64, 65, 130])
     def test_byte_equal_to_reference(self, tokens, prior):
-        self._check(tokens, prior, max_seq_len=160)
+        self._check(tokens, prior)
 
     @pytest.mark.parametrize("prior", [0, 9])
     def test_ragged_head_groups_byte_equal_to_reference(self, prior):
         # a prompt whose four heads fall into groups of 3 and 1
         tokens = math.isqrt(attention_mod.SCORE_BUFFER_BYTES // (4 * 3)) - prior
         assert attention_mod.SCORE_BUFFER_BYTES // (4 * tokens * (prior + tokens)) == 3
-        self._check(tokens, prior, max_seq_len=prior + tokens)
+        self._check(tokens, prior)
 
-    def _check(self, tokens, prior, max_seq_len):
-        weights = small_weights(seed=21, max_seq_len=max_seq_len)
+    def _check(self, tokens, prior):
+        weights = small_weights(seed=21, max_seq_len=prior + tokens)
         tensors = singleton_tensors(weights)
         rng = np.random.default_rng(tokens * 100 + prior)
         chunks = [
@@ -181,7 +185,7 @@ class TestPrefillOracle:
 
         runs = []
         for forward in (kernel, reference):
-            cache = KVCache(weights.config)
+            cache = KVCache(weights.config, tensors.layout, prior + tokens)
             trace = AttentionTrace(2, 4)
             outs = [forward(x, cache, trace) for x in chunks]
             runs.append((outs, cache.layers[1], trace))
@@ -225,7 +229,7 @@ class TestDecodeOracle:
 
         runs = []
         for decode in (kernel, reference):
-            cache = KVCache(weights.config)
+            cache = KVCache(weights.config, tensors.layout, prior + 3)
             if prior:
                 reference_mha_forward(prompt, lw, cache, layer)
             trace = AttentionTrace(2, 4)
@@ -257,13 +261,13 @@ class TestClusteredForward:
         step, then the pruned plan."""
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((steps, 32)).astype(np.float32) * 0.4
-        cache = KVCache(weights.config)
+        cache = KVCache(weights.config, HeadLayout.singleton(weights.config), steps)
         mha_outs = [
             reference_mha_forward(row[None, :], weights.layers[0], cache, 0) for row in rows
         ]
 
-        cache = KVCache(weights.config)
         singleton = singleton_tensors(weights)
+        cache = KVCache(weights.config, singleton.layout, steps)
         clustered_outs = [
             clustered_forward(rows[0][None, :], weights.layers[0], cache, 0, singleton)
         ]
@@ -321,10 +325,11 @@ class TestClusteredForward:
 
     def test_plan_cache_mismatch_rejected(self):
         weights = small_weights(seed=6)
-        cache = KVCache(weights.config)
+        tensors = singleton_tensors(weights)
+        cache = KVCache(weights.config, tensors.layout, 2)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 32)).astype(np.float32)
-        clustered_forward(x, weights.layers[0], cache, 0, singleton_tensors(weights))
+        clustered_forward(x, weights.layers[0], cache, 0, tensors)
         plan = grouped_plan(2, 4, [2, 2])
         cache = prune_cache(cache, HeadLayout(weights.config, plan))
         other_plan = ClusterPlan(
@@ -334,13 +339,17 @@ class TestClusteredForward:
             )
         )
         config, head_dim = weights.config, weights.config.head_dim
-        with pytest.raises(ContractError):
+        with pytest.raises(
+            ModeMismatchError,
+            match=re.escape("key heads [[0, 2], [0, 2]] and value heads [[0, 1, 2, 3], "
+                            "[0, 1, 2, 3]]; the plan expects [[0, 1], [0, 1]] and [[0, 1, 2, 3]"),
+        ):
             clustered_forward(
                 x, weights.layers[0], cache, 0,
                 PlanTensors(HeadLayout(config, other_plan), weights.layers, head_dim),
             )
         # same representatives, but the layout expects pruned values
-        with pytest.raises(ContractError, match="value heads"):
+        with pytest.raises(ModeMismatchError, match=re.escape("and [[0, 2], [0, 2]]")):
             clustered_forward(
                 x, weights.layers[0], cache, 0,
                 PlanTensors(HeadLayout(config, plan, reuse_values=True), weights.layers, head_dim),
@@ -351,10 +360,10 @@ class TestClusteredForward:
     def test_several_rows_under_clustered_plan_rejected_before_caching(self, prune_values):
         weights = small_weights(seed=7)
         rng = np.random.default_rng(1)
-        cache = KVCache(weights.config)
+        singleton = singleton_tensors(weights)
+        cache = KVCache(weights.config, singleton.layout, 4)
         clustered_forward(
-            rng.standard_normal((1, 32)).astype(np.float32),
-            weights.layers[0], cache, 0, singleton_tensors(weights),
+            rng.standard_normal((1, 32)).astype(np.float32), weights.layers[0], cache, 0, singleton
         )
         plan = grouped_plan(2, 4, [2, 2])
         tensors = plan_tensors(weights, plan, reuse_values=prune_values)
@@ -369,11 +378,11 @@ class TestClusteredForward:
 
 
 class TestPruneCache:
-    def _filled_cache(self, weights, tokens=5, seed=0):
-        cache = KVCache(weights.config)
+    def _filled_cache(self, weights, tokens=5, capacity=5, seed=0):
+        tensors = singleton_tensors(weights)
+        cache = KVCache(weights.config, tensors.layout, capacity)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((tokens, 32)).astype(np.float32)
-        tensors = singleton_tensors(weights)
         for layer in range(weights.config.num_layers):
             mha_forward(x, weights.layers[layer], cache, layer, tensors)
         return cache
@@ -382,8 +391,9 @@ class TestPruneCache:
         weights = small_weights()
         cache = self._filled_cache(weights)
         pruned = prune_cache(cache, HeadLayout.singleton(weights.config))
+        assert pruned.summary()["layers"] == cache.summary()["layers"]
+        assert pruned.summary()["pruned"] and not cache.summary()["pruned"]
         for old, new in zip(cache.layers, pruned.layers):
-            assert new.stored_key_heads == [0, 1, 2, 3]
             np.testing.assert_array_equal(new.live_keys(), old.live_keys())
             np.testing.assert_array_equal(new.live_values(), old.live_values())
 
@@ -393,8 +403,8 @@ class TestPruneCache:
             self._filled_cache(weights), HeadLayout(weights.config, grouped_plan(2, 4, [1, 1]))
         )
         for lc in pruned.layers:
-            assert len(lc.stored_key_heads) == 1
-            assert len(lc.stored_value_heads) == 4
+            assert lc.keys.shape[0] == 1
+            assert lc.values.shape[0] == 4
             assert lc.length == 5
 
     def test_vector_counts_after_pruning(self):
@@ -405,14 +415,24 @@ class TestPruneCache:
             ffn_dim=8, vocab_size=8, max_seq_len=128,
         )
         weights = init_random(config, seed=0)
-        cache = KVCache(config)
+        tensors = singleton_tensors(weights)
+        cache = KVCache(config, tensors.layout, 100)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((100, 64)).astype(np.float32)
-        mha_forward(x, weights.layers[0], cache, 0, singleton_tensors(weights))
-        assert len(cache.layers[0].stored_key_heads) * cache.length == 3200
+        mha_forward(x, weights.layers[0], cache, 0, tensors)
+        assert cache.layers[0].live_keys().shape[:2] == (32, 100)
         pruned = prune_cache(cache, HeadLayout(config, grouped_plan(1, 32, [18])))
-        assert len(pruned.layers[0].stored_key_heads) * pruned.length == 1800
-        assert len(pruned.layers[0].stored_value_heads) * pruned.length == 3200
+        assert pruned.layers[0].live_keys().shape[:2] == (18, 100)
+        assert pruned.layers[0].live_values().shape[:2] == (32, 100)
+
+    def test_keeps_the_source_capacity(self):
+        weights = small_weights()
+        cache = self._filled_cache(weights, tokens=5, capacity=9)
+        pruned = prune_cache(cache, HeadLayout(weights.config, grouped_plan(2, 4, [2, 1])))
+        assert pruned.capacity == cache.capacity == 9
+        for lc in pruned.layers:
+            assert lc.length == 5
+            assert lc.keys.shape[1] == lc.values.shape[1] == 9
 
     def test_double_pruning_rejected(self):
         weights = small_weights()
@@ -428,8 +448,9 @@ class TestPruneCache:
         pruned = prune_cache(
             cache, HeadLayout(weights.config, grouped_plan(2, 4, [2, 2]), reuse_values=True)
         )
+        for layer in pruned.summary()["layers"]:
+            assert layer["stored_value_heads"] == layer["stored_key_heads"] == [0, 2]
         for old, lc in zip(cache.layers, pruned.layers):
-            assert lc.stored_value_heads == lc.stored_key_heads == [0, 2]
             np.testing.assert_array_equal(lc.live_keys(), old.live_keys()[[0, 2]])
             np.testing.assert_array_equal(lc.live_values(), old.live_values()[[0, 2]])
 
@@ -456,7 +477,7 @@ class TestPruneCache:
 
 class TestLayerCache:
     def test_append_past_capacity_rejected_before_writing(self):
-        lc = LayerCache([0, 1], [0, 1], capacity=4, head_dim=2)
+        lc = LayerCache(2, 2, capacity=4, head_dim=2)
         block = np.ones((2, 3, 2), dtype=np.float32)
         lc.append(block, block)
         with pytest.raises(ContractError, match="capacity 4 exceeded at length 3"):
@@ -503,8 +524,8 @@ class TestTrace:
         trace = AttentionTrace(2, 4)
         rng = np.random.default_rng(6)
         rows = rng.standard_normal((4, 32)).astype(np.float32)
-        cache = KVCache(weights.config)
         tensors = singleton_tensors(weights)
+        cache = KVCache(weights.config, tensors.layout, 4)
         for row in rows:
             for layer in range(2):
                 mha_forward(row[None, :], weights.layers[layer], cache, layer, tensors, trace)

@@ -42,6 +42,22 @@ def write_fixture_model(tmp_path, counts=(2, 2), seed=0):
     return wpath, ppath, weights, plan
 
 
+def run_capped_cli(*args):
+    """Run `chai ARGS` in a child whose address space is capped at 512 MiB,
+    so an allocation sized by a hostile input fails there instead of
+    exhausting the machine."""
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(chai.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "chai.cli", *args],
+        env=dict(os.environ, PYTHONPATH=src_dir), capture_output=True, text=True,
+        preexec_fn=cap_address_space, timeout=120,
+    )
+
+
 class TestInit:
     def test_creates_loadable_weights(self, tmp_path):
         out = tmp_path / "w.bin"
@@ -609,28 +625,43 @@ class TestExitCodes:
 
     def test_header_with_a_billion_layers_is_usage_error(self, tmp_path):
         # The header claims 10**9 layers over a 2-layer file. Loading must
-        # compare sizes before building anything sized by the header; the
-        # child runs under a 512 MiB address-space cap, so building such a
-        # manifest fails there instead of exhausting the machine.
+        # compare sizes before building anything sized by the header, so
+        # building such a manifest fails in the capped child instead of
+        # exhausting the machine.
         wpath, _ = write_small_model(tmp_path)
         rewrite_header_config(wpath, num_layers=10**9)
         prompt_path = tmp_path / "prompt.bin"
         np.array([1, 2], dtype="<i4").tofile(prompt_path)
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(chai.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "chai.cli", "generate", "--weights", str(wpath),
-             "--prompt", str(prompt_path), "--steps", "2", "--out", str(tmp_path / "r.json")],
-            env=dict(os.environ, PYTHONPATH=src_dir), capture_output=True, text=True,
-            preexec_fn=cap_address_space, timeout=120,
+        proc = run_capped_cli(
+            "generate", "--weights", str(wpath), "--prompt", str(prompt_path),
+            "--steps", "2", "--out", str(tmp_path / "r.json"),
         )
         assert proc.returncode == 2, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert "header declares 21 tensors, its config implies 9000000003" in lines[0]
+
+    def test_header_with_a_billion_positions_runs_at_request_size(self, tmp_path):
+        # max_seq_len is only the model's limit: caches are sized to the
+        # request, so a header allowing 10**9 positions calibrates and
+        # decodes in the capped child.
+        wpath = tmp_path / "weights.bin"
+        save_weights(small_weights(max_seq_len=10**9), wpath)
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]]))
+        prompt_path = tmp_path / "prompt.bin"
+        np.array([1, 2, 3], dtype="<i4").tofile(prompt_path)
+        profile = tmp_path / "profile.json"
+        runs = [("calibrate", "--corpus", str(corpus), "--out", str(profile))]
+        runs += [
+            ("generate", "--mode", mode, "--profile", str(profile), "--prompt", str(prompt_path),
+             "--steps", "8", "--out", str(tmp_path / f"{mode}.json"))
+            for mode in ("MHA", "CHAI")
+        ]
+        for command, *args in runs:
+            proc = run_capped_cli(command, "--weights", str(wpath), *args)
+            assert proc.returncode == 0, proc.stderr
+        assert read_json(tmp_path / "CHAI.json")["kv_cache_summary"]["length"] == 11
 
 
 def exit_code(argv) -> int:

@@ -43,10 +43,11 @@ class TestParseMode:
 class TestForwardPass:
     def test_finite_logits_of_vocab_size(self):
         weights = small_weights(seed=1)
+        tensors = singleton_tensors(weights)
         for length in (1, 3, 9):
-            cache = KVCache(weights.config)
+            cache = KVCache(weights.config, tensors.layout, length)
             prompt = random_prompt(weights.config, length, seed=length)
-            logits = prefill(weights, prompt, cache, singleton_tensors(weights))
+            logits = prefill(weights, prompt, cache, tensors)
             assert logits.shape == (weights.config.vocab_size,)
             assert np.all(np.isfinite(logits))
 
@@ -77,6 +78,38 @@ class TestGenerateMha:
             generate(weights, [1] * 60, 10, "MHA")
         with pytest.raises(ValidationError):
             generate(weights, [1], 4, "MHA", identify_at=0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_request_at_max_seq_len_fills_every_plane(self, mode, monkeypatch):
+        weights, plan = redundant_fixture([2, 3], seed=11)  # max_seq_len 64
+        prompt = random_prompt(weights.config, 50, seed=5)
+        profile = None if mode == "MHA" else fixture_profile(weights, plan)
+        caches = []
+        real_cache = engine_mod.KVCache
+
+        def spy_cache(*args, **kwargs):
+            caches.append(real_cache(*args, **kwargs))
+            return caches[-1]
+
+        real_forward = engine_mod._forward_pass
+        forwarded = []
+
+        def spy_forward(weights, token_ids, cache, *args, **kwargs):
+            forwarded.append(cache)
+            return real_forward(weights, token_ids, cache, *args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "KVCache", spy_cache)
+        monkeypatch.setattr(engine_mod, "_forward_pass", spy_forward)
+        with pytest.raises(ValidationError, match="exceeds max_seq_len 64"):
+            generate(weights, prompt, 15, mode, profile=profile)
+        assert caches == []  # rejected before any cache is built
+        result = generate(weights, prompt, 14, mode, profile=profile)
+        assert len(caches) == 1 and caches[0].capacity == 64
+        final = forwarded[-1]
+        assert final.capacity == 64 and final.pruned == (mode != "MHA")
+        for lc in final.layers:
+            assert lc.length == lc.keys.shape[1] == lc.values.shape[1] == 64
+        assert result.kv_cache_summary["length"] == 64
 
     def test_trace_collection_covers_all_steps(self):
         weights = small_weights(seed=3)
@@ -410,6 +443,29 @@ class TestCalibrate:
         # byte-identical on re-save
         loaded.save(tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_traced_prefix_cache_holds_exactly_the_window(self, monkeypatch):
+        weights = small_weights(seed=21)
+        real_prefill = engine_mod.prefill
+        caches = []
+
+        def spy_prefill(weights, tokens, cache, *args, **kwargs):
+            caches.append(cache)
+            return real_prefill(weights, tokens, cache, *args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "prefill", spy_prefill)
+        corpus = [random_prompt(weights.config, 9, seed=i) for i in range(2)]
+        calibrate(weights, corpus, window=6)
+        assert len(caches) == 2
+        for cache in caches:
+            for lc in cache.layers:
+                assert lc.length == lc.keys.shape[1] == lc.values.shape[1] == 6
+
+    def test_window_beyond_max_seq_len_rejected(self):
+        weights = small_weights(seed=21, max_seq_len=6)
+        corpus = [random_prompt(weights.config, 9, seed=0)]
+        with pytest.raises(ValidationError, match=r"window must lie in \[1, 6\], got 7"):
+            calibrate(weights, corpus, window=7)
 
     def test_short_sample_rejected(self):
         weights = small_weights(seed=21)

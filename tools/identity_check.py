@@ -112,6 +112,24 @@ def run_pipeline(src: Path, work: Path) -> dict[str, bytes]:
               "--text", TEXT, "--steps", "24", "--mode", mode, "--out", out)
         keep(out)
 
+    # The same model with a 2**20-position limit: caches sized by the request
+    # and caches sized by the limit differ most here, so any batch stride
+    # reaching the BLAS bits would show.
+    _chai(src, work, "init", "--layers", "2", "--heads", "8", "--head-dim", "8",
+          "--vocab-size", "256", "--seed", "3", "--max-seq-len", str(1 << 20),
+          "--out", "wide.bin")
+    keep("wide.bin")
+    _chai(src, work, "calibrate", "--weights", "wide.bin", "--corpus", "corpus.json",
+          "--out", "wide_w5.json")
+    keep("wide_w5.json")
+    keep("wide_w5_elbow.csv")
+    name, prompt, steps, _, extra = INPUTS[0]
+    for mode in MODES:
+        out = f"wide_generate_{name}_{mode}.json"
+        _chai(src, work, "generate", "--weights", "wide.bin", "--mode", mode,
+              "--profile", "wide_w5.json", *prompt, "--steps", str(steps), *extra, "--out", out)
+        keep(out, _without_timing(work / out))
+
     _chai(src, work, "bench", "--weights", "weights.bin", "--profile", "w5.json",
           "--seq-lens", "16,64", "--modes", ",".join(MODES), "--repeats", "2",
           "--out", "bench.csv")
