@@ -16,7 +16,8 @@ rows a frozen plan's layout names into a cache of the same capacity, which
 drops key storage for non-representative heads and, under the value-reuse
 variant only, their value rows too, and `PlanTensors` gathers only the
 weight columns the layout reads. The kernel runs only when the cache and
-the plan tensors share one layout object.
+the plan tensors share one layout object. An `AttentionTrace` is one
+zero-filled array sized to its traced steps, filled once per head group.
 
 Cache ownership: a KVCache belongs to exactly one in-flight request. Layer
 weights are read-only and shareable.
@@ -131,45 +132,57 @@ def _probability_row_problem(row: np.ndarray) -> str | None:
 
 
 class AttentionTrace:
-    """Per-layer, per-head attention probability rows keyed by decode step.
+    """Every head's attention probability rows over `steps` traced steps, in
+    one zero-filled float32 array `rows` shaped (layers, heads, steps,
+    base_position + steps), with `recorded[layer]` steps recorded per layer.
 
-    Steps are 1-based and offset by `base_position`: a row recorded at
-    absolute cache position p lands at step p + 1 - base_position, so a
-    generation run traces its decoded positions as steps 1, 2, ... while a
-    run over a fresh cache (calibration) yields rows of length 1, 2, ...
-    Rows at step <= 0 (inside the untraced prompt) are discarded.
+    Steps are 1-based and offset by `base_position`: the row recorded at
+    absolute cache position p is step p + 1 - base_position and fills
+    rows[layer, head, step - 1, : p + 1], so a generation run traces its
+    decoded positions as steps 1, 2, ... while a run over a fresh cache
+    (calibration) yields rows of length 1, 2, ... The rest of each array row
+    stays zero, which is also the value softmax gives every masked entry.
     """
 
-    def __init__(self, num_layers: int, num_heads: int, base_position: int = 0):
+    def __init__(self, num_layers: int, num_heads: int, steps: int, base_position: int = 0):
         self.num_layers = num_layers
         self.num_heads = num_heads
         self.base_position = base_position
-        self._rows: dict[tuple[int, int], dict[int, np.ndarray]] = {}
+        self.rows = np.zeros((num_layers, num_heads, steps, base_position + steps), np.float32)
+        self.recorded = [0] * num_layers
 
-    def record(self, layer: int, head: int, position: int, row: np.ndarray) -> None:
-        step = position + 1 - self.base_position
-        if step < 1:
-            return
-        problem = _probability_row_problem(row)
-        if problem:
-            raise ContractError(
-                f"attention row of layer {layer}, head {head}, step {step} {problem}"
-            )
-        self._rows.setdefault((layer, head), {})[step] = np.asarray(row, dtype=np.float32).copy()
+    def record(self, layer: int, position: int, heads, block: np.ndarray) -> None:
+        """Store the (G, T, S) probability rows of the G heads `heads` (a
+        slice or index array) at cache positions position .. position + T - 1;
+        the row of position p is causal, so its entries past p are zero.
+
+        Only rows that one vectorized screen flags get
+        `_probability_row_problem`'s verdict on their causal prefix. Its
+        float64 sums flag a row 5e-6 from 1, half the verdict's bound: far
+        more than the verdict's float32 rounding."""
+        first = position - self.base_position  # the 0-based step of row 0
+        suspect = ~((block.min(axis=-1) >= 0.0) & (block.max(axis=-1) <= 1.0))
+        suspect |= np.abs(block.sum(axis=-1, dtype=np.float64) - 1.0) > 5e-6
+        for g, t in np.argwhere(suspect).tolist():
+            problem = _probability_row_problem(block[g, t, : position + t + 1])
+            if problem:
+                head = np.arange(self.num_heads)[heads][g]
+                raise ContractError(
+                    f"attention row of layer {layer}, head {head}, step {first + t + 1} {problem}"
+                )
+        self.rows[layer, heads, first : first + block.shape[1], : block.shape[2]] = block
+        self.recorded[layer] = max(self.recorded[layer], first + block.shape[1])
 
     def row(self, layer: int, head: int, step: int) -> np.ndarray:
-        try:
-            return self._rows[(layer, head)][step]
-        except KeyError:
-            raise InsufficientTraceError(
-                f"trace has no row for layer {layer}, head {head}, step {step}"
-            ) from None
+        if not 1 <= step <= self.recorded[layer]:
+            raise InsufficientTraceError(f"trace has no row for layer {layer}, step {step}")
+        return self.rows[layer, head, step - 1, : self.base_position + step]
 
-    def steps(self, layer: int, head: int = 0) -> list[int]:
-        return sorted(self._rows.get((layer, head), {}))
+    def steps(self, layer: int) -> list[int]:
+        return list(range(1, self.recorded[layer] + 1))
 
     def max_step(self) -> int:
-        return max((max(steps) for steps in self._rows.values() if steps), default=0)
+        return max(self.recorded, default=0)
 
 
 TRACE_COLUMNS = ("layer", "head", "step", "position", "probability")
@@ -182,7 +195,7 @@ def export_trace_csv(trace: AttentionTrace, path) -> None:
         writer.writerow(TRACE_COLUMNS)
         for layer in range(trace.num_layers):
             for head in range(trace.num_heads):
-                for step in trace.steps(layer, head):
+                for step in trace.steps(layer):
                     row = trace.row(layer, head, step)
                     for position, prob in enumerate(row.tolist()):
                         writer.writerow([layer, head, step, position, repr(prob)])
@@ -190,9 +203,10 @@ def export_trace_csv(trace: AttentionTrace, path) -> None:
 
 def load_trace_csv(path) -> AttentionTrace:
     """Read a trace CSV written by `export_trace_csv`. A file without rows, a
-    missing column or head, a non-numeric field, positions other than
-    0..n-1, rows of unequal length at one (layer, step), a layer whose steps
-    are not consecutive with rows one position longer each step, layers
+    missing column or head, a non-numeric field, a negative layer or head,
+    positions other than 0..n-1, rows of unequal length at one (layer,
+    step), a layer whose steps are not 1, 2, ... with rows one position
+    longer each step and step 1's as long as the first layer's, layers
     covering different steps, or a row that is not a probability row (the
     check `AttentionTrace.record` makes) raise ValidationError."""
 
@@ -200,8 +214,7 @@ def load_trace_csv(path) -> AttentionTrace:
         return ValidationError(f"trace {path}: {problem}")
 
     rows: dict[tuple[int, int, int], list[tuple[int, float]]] = {}
-    max_layer = -1
-    max_head = -1
+    num_layers = num_heads = 0
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in TRACE_COLUMNS if c not in (reader.fieldnames or ())]
@@ -211,18 +224,20 @@ def load_trace_csv(path) -> AttentionTrace:
             try:
                 layer, head, step, position = (int(record[c]) for c in TRACE_COLUMNS[:4])
                 probability = float(record["probability"])
+                if min(layer, head) < 0:
+                    raise ValueError(f"negative layer {layer} or head {head}")
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"trace {path} line {reader.line_num}: {exc}") from None
             rows.setdefault((layer, head, step), []).append((position, probability))
-            max_layer = max(max_layer, layer)
-            max_head = max(max_head, head)
+            num_layers, num_heads = max(num_layers, layer + 1), max(num_heads, head + 1)
     if not rows:
         raise ValidationError(f"trace {path} has no rows")
-    trace = AttentionTrace(max_layer + 1, max_head + 1)
+    blocks: dict[tuple[int, int], np.ndarray] = {}  # (layer, step) -> (heads, positions)
     following: dict[int, tuple[int, int]] = {}  # layer -> (next step, its row length)
+    first_length = 0  # of the first layer's step-1 rows
     for layer, step in sorted({(layer, step) for layer, _, step in rows}):
-        lengths = set()
-        for head in range(trace.num_heads):
+        per_head = []
+        for head in range(num_heads):
             if (layer, head, step) not in rows:
                 raise malformed(f"layer {layer}, step {step} has no head {head}")
             entries = sorted(rows[(layer, head, step)])
@@ -231,32 +246,33 @@ def load_trace_csv(path) -> AttentionTrace:
                     f"positions of layer {layer}, head {head}, step {step} "
                     f"are not 0..{len(entries) - 1}"
                 )
-            row = np.array([prob for _, prob in entries], dtype=np.float32)
-            trace._rows.setdefault((layer, head), {})[step] = row
-            lengths.add(len(row))
-        if len(lengths) > 1:
+            per_head.append([prob for _, prob in entries])
+        length = len(per_head[0])
+        if any(len(row) != length for row in per_head):
             raise malformed(f"rows of layer {layer}, step {step} differ in length")
-        length = lengths.pop()
-        if following.get(layer, (step, length)) != (step, length):
-            want_step, want_length = following[layer]
+        # every layer starts at step 1, with rows as long as the first layer's
+        want_step, want_length = following.get(layer, (1, first_length or length - step + 1))
+        if (step, length) != (want_step, want_length):
             raise malformed(
                 f"layer {layer} has step {step} of {length} positions where step "
-                f"{want_step} of {want_length} positions should follow"
+                f"{want_step} of {want_length} positions should come next"
             )
+        first_length = first_length or length
         following[layer] = (step + 1, length + 1)
+        blocks[(layer, step)] = np.array(per_head, dtype=np.float32)
 
     def span(layer: int) -> str:
-        steps = trace.steps(layer)
-        return f"steps {steps[0]}..{steps[-1]}" if steps else "no steps"
+        return f"steps 1..{following[layer][0] - 1}" if layer in following else "no steps"
 
-    for layer in range(1, trace.num_layers):
-        if trace.steps(layer) != trace.steps(0):
+    for layer in range(1, num_layers):
+        if following.get(layer) != following.get(0):
             raise malformed(f"layer {layer} has {span(layer)} where layer 0 has {span(0)}")
-    for (layer, head), steps in sorted(trace._rows.items()):
-        for step, row in steps.items():
-            problem = _probability_row_problem(row)
-            if problem:
-                raise malformed(f"row of layer {layer}, head {head}, step {step} {problem}")
+    trace = AttentionTrace(num_layers, num_heads, following[0][0] - 1, first_length - 1)
+    try:
+        for (layer, step), block in blocks.items():
+            trace.record(layer, first_length + step - 2, slice(None), block[:, None, :])
+    except ContractError as exc:
+        raise malformed(str(exc)) from None
     return trace
 
 
@@ -368,11 +384,10 @@ def clustered_forward(
         else:
             np.matmul(probs[slot_of_head], live_values, out=head_outputs)
         if trace is not None:
-            for head in range(num_heads):
-                slot = slot_of_head[head]
-                if lo <= slot < hi:
-                    for i in range(tokens):
-                        trace.record(layer, head, start + i, probs[slot - lo, i, : start + i + 1])
+            if slots == num_heads:
+                trace.record(layer, start, slice(lo, hi), probs)
+            else:  # one row, one group
+                trace.record(layer, start, slice(None), probs[slot_of_head])
     return matmul(merged, layer_weights.wo)
 
 

@@ -1,5 +1,6 @@
-"""Statistical machinery over attention traces: feature extraction, k-means
-with restarts, elbow selection, representative choice, correlation matrices,
+"""Statistical machinery over attention traces: feature extraction (one
+slice of the trace's zero-padded array per layer and window), k-means with
+restarts, elbow selection, representative choice, correlation matrices,
 membership-stability and cluster-size analyses.
 
 Distances are plain squared Euclidean on raw probabilities (entries are
@@ -50,24 +51,15 @@ def extract_features(trace: AttentionTrace, layer: int, window: tuple[int, int])
     each right-padded with zeros to the window's final row length, concatenated.
 
     For a trace over a fresh cache and the window (1, 5) this gives rows of
-    lengths 1..5 padded to 5, i.e. 25 features per head.
+    lengths 1..5 padded to 5, i.e. 25 features per head. The zero padding is
+    the trace array's own, so this is one slice of it, reshaped (a view of
+    the array when the window ends at its last step).
     """
     first, last = window
     if not 1 <= first <= last:
         raise ValidationError(f"bad step window ({first}, {last})")
     final_len = len(trace.row(layer, 0, last))
-    num_steps = last - first + 1
-    features = np.zeros((trace.num_heads, num_steps * final_len), dtype=np.float32)
-    for head in range(trace.num_heads):
-        for i, step in enumerate(range(first, last + 1)):
-            row = trace.row(layer, head, step)
-            if len(row) > final_len:
-                raise ContractError(
-                    f"row at step {step} is longer ({len(row)}) than the window's "
-                    f"final row ({final_len})"
-                )
-            features[head, i * final_len : i * final_len + len(row)] = row
-    return features
+    return trace.rows[layer, :, first - 1 : last, :final_len].reshape(trace.num_heads, -1)
 
 
 class KMeansResult(NamedTuple):
@@ -203,16 +195,16 @@ def _cluster_means(points: np.ndarray, assignment: np.ndarray, k: int) -> np.nda
     return means.reshape(assignment.shape[:-1] + (k, dim))
 
 
-def _repair_empty(points, assignment, centroids, d2):
+def _repair_empty(points, assignment, centroids, d2, counts):
     """Give each empty cluster, in ascending order, the point farthest from its
     current centroid (ties to the lowest index); donors must not empty their
-    own cluster.
+    own cluster. `counts` holds the cluster sizes under `assignment`.
 
     One walk down the points by falling own distance does it: a cluster that
     has one member left never gains one here, so a point that cannot donate
     now never can, and a donated point is alone in its new cluster.
     """
-    counts = np.bincount(assignment, minlength=centroids.shape[0]).tolist()
+    counts = counts.tolist()
     empties = [c for c, count in enumerate(counts) if count == 0]
     if not empties:
         return assignment, centroids
@@ -249,9 +241,9 @@ def _lloyd(points: np.ndarray, inits: np.ndarray):
         d2 = _sqdist(points, live, p2)
         labels = d2.argmin(axis=2)
         counts = np.bincount((labels + k * np.arange(len(active))[:, None]).ravel(),
-                             minlength=len(active) * k)
-        for r in np.flatnonzero((counts.reshape(-1, k) == 0).any(axis=1)).tolist():
-            labels[r], live[r] = _repair_empty(points, labels[r], live[r], d2[r])
+                             minlength=len(active) * k).reshape(-1, k)
+        for r in np.flatnonzero((counts == 0).any(axis=1)).tolist():
+            labels[r], live[r] = _repair_empty(points, labels[r], live[r], d2[r], counts[r])
         sse = _sse(points, live, labels)
         increased = np.flatnonzero(sse > prev_sse + 1e-9)
         if increased.size:
@@ -373,26 +365,21 @@ def membership_stability(trace: AttentionTrace, profile, from_step: int, to_step
         )
 
     first_needed = from_step - 1 if from_step - 1 >= window else from_step
-    memberships: dict[tuple[int, int], tuple[int, ...]] = {}
+    needed = range(first_needed, to_step + 1)
+    labels = np.empty((trace.num_layers, len(needed), trace.num_heads), dtype=np.intp)
     for layer in range(trace.num_layers):
         k = profile.cluster_counts[layer]
-        for step in range(first_needed, to_step + 1):
+        for i, step in enumerate(needed):
             features = extract_features(trace, layer, (step - window + 1, step))
-            result = kmeans(features, k, seed=derived_seed(profile.seed, layer, step))
-            assignment = result.assignment.tolist()
-            canonical = {c: min(h for h, a in enumerate(assignment) if a == c)
-                         for c in set(assignment)}
-            memberships[(layer, step)] = tuple(canonical[c] for c in assignment)
+            seed = derived_seed(profile.seed, layer, step)
+            assignment = kmeans(features, k, seed=seed).assignment
+            _, lowest, cluster = np.unique(assignment, return_index=True, return_inverse=True)
+            labels[layer, i] = lowest[cluster]  # the lowest head index in each head's cluster
 
-    steps = list(range(from_step, to_step + 1))
-    counts = np.zeros((trace.num_layers, len(steps)), dtype=int)
-    for layer in range(trace.num_layers):
-        for i, step in enumerate(steps):
-            before = memberships.get((layer, step - 1))
-            now = memberships[(layer, step)]
-            if before is not None:
-                counts[layer, i] = sum(a != b for a, b in zip(before, now))
-    return steps, counts
+    counts = (labels[:, 1:] != labels[:, :-1]).sum(axis=2)
+    if first_needed == from_step:  # nothing to compare the first step with
+        counts = np.concatenate([np.zeros((trace.num_layers, 1), dtype=int), counts], axis=1)
+    return list(range(from_step, to_step + 1)), counts
 
 
 def cluster_size_histogram(plan: ClusterPlan, layer: int) -> list[int]:

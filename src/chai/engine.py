@@ -14,7 +14,8 @@ limit both are checked against.
 Every request is two plan epochs. Decode steps 1..split run under the
 singleton plan over the unpruned cache; split is `steps` for MHA (the plan
 never freezes), 0 for the static variant and min(identify_at, steps) for
-the clustered modes, whose steps 1..split are traced. The plan freezes at
+the clustered modes, whose steps 1..split are traced into one array sized
+to them (a calibration prefix traces its window). The plan freezes at
 one site, at the start of step split + 1: to the profile's calibration-time
 assignment for the static variant, or else to a clustering of each layer's
 heads from the traced rows (k-means with the profile's per-layer cluster
@@ -58,7 +59,7 @@ from .clustering import (
 from .errors import ContractError, ValidationError
 from .kernels import matmul, rms_norm
 from .model import ModelConfig, Weights
-from .plan import ClusterPlan, HeadLayout, LayerPlan
+from .plan import ClusterPlan, HeadLayout, LayerPlan, is_integer
 
 MODES = ("MHA", "CHAI", "CHAI_STATIC", "CHAI_QKV")
 DEFAULT_IDENTIFY_AT = 5
@@ -85,14 +86,11 @@ class CalibrationProfile:
     static_assignment: ClusterPlan
 
     def __post_init__(self):
-        def is_int(value) -> bool:
-            return isinstance(value, int) and not isinstance(value, bool)
-
-        if not is_int(self.seed) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"profile seed must be an integer >= 0, got {self.seed!r}")
-        if not is_int(self.window) or self.window < 1:
+        if not is_integer(self.window) or self.window < 1:
             raise ValidationError(f"profile window must be an integer >= 1, got {self.window!r}")
-        if not all(is_int(k) for k in self.cluster_counts):
+        if not all(map(is_integer, self.cluster_counts)):
             raise ValidationError(
                 f"profile cluster counts must be integers, got {list(self.cluster_counts)!r}"
             )
@@ -337,7 +335,7 @@ def generate(
 
     trace = None
     if split and (collect_trace or split < steps):
-        trace = AttentionTrace(config.num_layers, config.num_heads, base_position=len(prompt))
+        trace = AttentionTrace(config.num_layers, config.num_heads, split, len(prompt))
 
     start = time.perf_counter()
     logits = prefill(weights, prompt, cache, tensors)
@@ -413,7 +411,7 @@ def _traced_prefix(weights: Weights, token_ids) -> AttentionTrace:
     """Plain attention over a fresh cache with tracing from position 0; the
     step-s row then has length s, giving fixed-size calibration features."""
     config = weights.config
-    trace = AttentionTrace(config.num_layers, config.num_heads)
+    trace = AttentionTrace(config.num_layers, config.num_heads, len(token_ids))
     layout = HeadLayout.singleton(config)
     tensors = PlanTensors(layout, weights.layers, config.head_dim)
     prefill(weights, token_ids, KVCache(config, layout, len(token_ids)), tensors, trace)

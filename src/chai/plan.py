@@ -10,6 +10,11 @@ import numpy as np
 from .errors import ContractError
 
 
+def is_integer(value) -> bool:
+    """An int that is not a bool (JSON's true and false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LayerPlan:
     """Cluster structure of one layer's attention heads.
@@ -24,6 +29,8 @@ class LayerPlan:
     def __post_init__(self):
         num_heads = len(self.assignment)
         k = len(self.representatives)
+        if not all(map(is_integer, self.assignment + self.representatives)):
+            raise ContractError(f"non-integer cluster id or representative in {self}")
         if not 1 <= k <= num_heads:
             raise ContractError(f"cluster count {k} outside [1, {num_heads}]")
         if sorted(set(self.assignment)) != list(range(k)):
@@ -59,14 +66,6 @@ class ClusterPlan:
             assignment=tuple(range(num_heads)),
             representatives=tuple(range(num_heads)),
         )
-        return cls(layers=(layer,) * num_layers)
-
-    @classmethod
-    def uniform(cls, num_layers: int, num_heads: int, cluster_count: int) -> "ClusterPlan":
-        """Round-robin assignment into `cluster_count` clusters, same every layer."""
-        assignment = tuple(h % cluster_count for h in range(num_heads))
-        representatives = tuple(range(cluster_count))
-        layer = LayerPlan(assignment=assignment, representatives=representatives)
         return cls(layers=(layer,) * num_layers)
 
     @property

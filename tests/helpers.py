@@ -6,7 +6,10 @@ import struct
 import numpy as np
 
 from chai.attention import PlanTensors, _head_scale, _project_heads, _to_cache_layout
-from chai.clustering import DEFAULT_RESTARTS, MAX_ITERATIONS, RELATIVE_TOL, KMeansResult
+from chai.clustering import (
+    DEFAULT_RESTARTS, MAX_ITERATIONS, RELATIVE_TOL, KMeansResult, derived_seed, extract_features,
+    kmeans,
+)
 from chai.engine import CalibrationProfile
 from chai.errors import ContractError
 from chai.kernels import apply_rope_heads, matmul
@@ -186,7 +189,7 @@ def reference_mha_forward(x, layer_weights, cache, layer, trace=None):
         probs = reference_softmax_rows(scores)
         if trace is not None:
             for head in range(num_heads):
-                trace.record(layer, head, start, probs[head])
+                trace.record(layer, start, slice(head, head + 1), probs[head][None, None])
         merged = np.matmul(probs[:, None, :], live_values)[:, 0, :]
         return matmul(merged.reshape(1, num_heads * head_dim), layer_weights.wo)
 
@@ -196,10 +199,51 @@ def reference_mha_forward(x, layer_weights, cache, layer, trace=None):
         probs = reference_softmax_rows(scores, causal_from=start)
         outputs.append(matmul(probs, live_values[head]))
         if trace is not None:
-            for i in range(tokens):
-                trace.record(layer, head, start + i, probs[i, : start + i + 1])
+            trace.record(layer, start, slice(head, head + 1), probs[None])
     merged = np.concatenate(outputs, axis=1)
     return matmul(merged, layer_weights.wo)
+
+
+def reference_extract_features(trace, layer, window):
+    """`clustering.extract_features` as first written: each head's rows for
+    the window's steps, read one at a time and copied into a zeroed feature
+    row at their step's offset. The bit-identity oracle for the slice."""
+    first, last = window
+    final_len = len(trace.row(layer, 0, last))
+    num_steps = last - first + 1
+    features = np.zeros((trace.num_heads, num_steps * final_len), dtype=np.float32)
+    for head in range(trace.num_heads):
+        for i, step in enumerate(range(first, last + 1)):
+            row = trace.row(layer, head, step)
+            features[head, i * final_len : i * final_len + len(row)] = row
+    return features
+
+
+def reference_membership_changes(trace, profile, from_step, to_step):
+    """`clustering.membership_stability`'s counts as first written: each
+    step's labels as a tuple of canonical members found per cluster, and
+    changes counted head by head against the previous step's tuple."""
+    window = profile.window
+    first_needed = from_step - 1 if from_step - 1 >= window else from_step
+    memberships = {}
+    for layer in range(trace.num_layers):
+        k = profile.cluster_counts[layer]
+        for step in range(first_needed, to_step + 1):
+            features = extract_features(trace, layer, (step - window + 1, step))
+            assignment = kmeans(features, k, seed=derived_seed(profile.seed, layer, step))
+            assignment = assignment.assignment.tolist()
+            canonical = {c: min(h for h, a in enumerate(assignment) if a == c)
+                         for c in set(assignment)}
+            memberships[(layer, step)] = tuple(canonical[c] for c in assignment)
+    steps = list(range(from_step, to_step + 1))
+    counts = np.zeros((trace.num_layers, len(steps)), dtype=int)
+    for layer in range(trace.num_layers):
+        for i, step in enumerate(steps):
+            before = memberships.get((layer, step - 1))
+            if before is not None:
+                now = memberships[(layer, step)]
+                counts[layer, i] = sum(a != b for a, b in zip(before, now))
+    return counts
 
 
 def reference_kmeans(points, k, seed=0, restarts=DEFAULT_RESTARTS, extra_inits=None):

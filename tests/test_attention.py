@@ -16,7 +16,9 @@ from chai.attention import (
     mha_forward,
     prune_cache,
 )
-from chai.errors import ContractError, InsufficientTraceError, ModeMismatchError
+from chai.errors import (
+    ContractError, InsufficientTraceError, ModeMismatchError, ValidationError
+)
 from chai.model import ModelConfig, init_random, make_redundant
 from chai.plan import ClusterPlan, HeadLayout, LayerPlan
 from helpers import (
@@ -40,7 +42,7 @@ class TestMhaForward:
         weights = small_weights()
         tensors = singleton_tensors(weights)
         cache = KVCache(weights.config, tensors.layout, 1)
-        trace = AttentionTrace(2, 4)
+        trace = AttentionTrace(2, 4, 1)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 32)).astype(np.float32)
         out = mha_forward(x, weights.layers[0], cache, 0, tensors, trace)
@@ -65,7 +67,7 @@ class TestMhaForward:
         lw = weights.layers[0]
         lw.wq[:, 8:16] = lw.wq[:, 0:8]
         lw.wk[:, 8:16] = lw.wk[:, 0:8]
-        trace = AttentionTrace(2, 4)
+        trace = AttentionTrace(2, 4, 4)
         rng = np.random.default_rng(2)
         rows = rng.standard_normal((4, 32)).astype(np.float32) * 0.3
         decode_mha(weights, rows, trace)
@@ -131,7 +133,7 @@ class TestMhaForward:
             tensors = singleton_tensors(weights)
             cache_a = KVCache(weights.config, tensors.layout, 8)
             cache_b = KVCache(weights.config, tensors.layout, 8)
-            trace_a, trace_b = AttentionTrace(2, 4), AttentionTrace(2, 4)
+            trace_a, trace_b = AttentionTrace(2, 4, 8), AttentionTrace(2, 4, 8)
             out_a = mha_forward(rows, weights.layers[0], cache_a, 0, tensors, trace_a)
             out_b = mha_forward(perturbed, weights.layers[0], cache_b, 0, tensors, trace_b)
             np.testing.assert_array_equal(out_a[:p], out_b[:p])
@@ -186,7 +188,7 @@ class TestPrefillOracle:
         runs = []
         for forward in (kernel, reference):
             cache = KVCache(weights.config, tensors.layout, prior + tokens)
-            trace = AttentionTrace(2, 4)
+            trace = AttentionTrace(2, 4, prior + tokens)
             outs = [forward(x, cache, trace) for x in chunks]
             runs.append((outs, cache.layers[1], trace))
         (got, got_cache, got_trace), (want, want_cache, want_trace) = runs
@@ -197,13 +199,8 @@ class TestPrefillOracle:
         assert got_cache.length == want_cache.length == prior + tokens
         assert got_cache.keys.tobytes() == want_cache.keys.tobytes()
         assert got_cache.values.tobytes() == want_cache.values.tobytes()
-        assert got_trace._rows.keys() == want_trace._rows.keys()
-        for key, rows in want_trace._rows.items():
-            assert sorted(got_trace._rows[key]) == sorted(rows) == list(
-                range(1, prior + tokens + 1)
-            )
-            for step, row in rows.items():
-                assert got_trace._rows[key][step].tobytes() == row.tobytes()
+        assert got_trace.recorded == want_trace.recorded == [0, prior + tokens]
+        assert got_trace.rows.tobytes() == want_trace.rows.tobytes()
 
 
 class TestDecodeOracle:
@@ -232,7 +229,7 @@ class TestDecodeOracle:
             cache = KVCache(weights.config, tensors.layout, prior + 3)
             if prior:
                 reference_mha_forward(prompt, lw, cache, layer)
-            trace = AttentionTrace(2, 4)
+            trace = AttentionTrace(2, 4, 3, base_position=prior)
             outs = [decode(row[None, :], cache, trace) for row in rows]
             runs.append((outs, cache.layers[layer], trace))
         (got, got_cache, got_trace), (want, want_cache, want_trace) = runs
@@ -243,15 +240,9 @@ class TestDecodeOracle:
         assert got_cache.length == want_cache.length == prior + 3
         assert got_cache.keys.tobytes() == want_cache.keys.tobytes()
         assert got_cache.values.tobytes() == want_cache.values.tobytes()
-        assert got_trace._rows.keys() == want_trace._rows.keys() == {
-            (layer, head) for head in range(4)
-        }
-        for key, steps in want_trace._rows.items():
-            assert sorted(got_trace._rows[key]) == sorted(steps) == [
-                prior + 1, prior + 2, prior + 3
-            ]
-            for step, row in steps.items():
-                assert got_trace._rows[key][step].tobytes() == row.tobytes()
+        assert got_trace.recorded[layer] == want_trace.recorded[layer] == 3
+        assert not got_trace.recorded[1 - layer]
+        assert got_trace.rows.tobytes() == want_trace.rows.tobytes()
 
 
 class TestClusteredForward:
@@ -307,6 +298,28 @@ class TestClusteredForward:
             plan = grouped_plan(2, 4, counts)
             _, outs = self._run_both(weights, plan)
             assert all(o.shape == (1, 32) for o in outs)
+
+    def test_trace_gives_each_head_its_representatives_row(self):
+        weights = small_weights(seed=5)
+        plan = grouped_plan(2, 4, [2, 3])  # layer 0: heads 0, 1 and 2, 3 share rows
+        rows = np.random.default_rng(7).standard_normal((3, 32)).astype(np.float32)
+        singleton = singleton_tensors(weights)
+        traces = []
+        for clustered in (False, True):
+            cache = KVCache(weights.config, singleton.layout, 3)
+            trace = AttentionTrace(2, 4, 3)
+            tensors = singleton
+            for step, row in enumerate(rows, start=1):
+                if clustered and step == 3:
+                    tensors = plan_tensors(weights, plan)
+                    cache = prune_cache(cache, tensors.layout)
+                clustered_forward(row[None, :], weights.layers[0], cache, 0, tensors, trace)
+            traces.append(trace)
+        plain, mixed = traces
+        assert mixed.steps(0) == [1, 2, 3]
+        for head, rep in enumerate([0, 0, 2, 2]):
+            assert mixed.row(0, head, 3).tobytes() == plain.row(0, rep, 3).tobytes()
+        assert mixed.rows[:, :, :2].tobytes() == plain.rows[:, :, :2].tobytes()
 
     def test_score_rows_computed_equals_cluster_count(self, monkeypatch):
         weights = small_weights(seed=5)
@@ -488,9 +501,9 @@ class TestLayerCache:
 
 class TestTrace:
     def test_rows_validated_on_record(self):
-        trace = AttentionTrace(1, 1)
+        trace = AttentionTrace(1, 1, 1)
         with pytest.raises(ContractError):
-            trace.record(0, 0, 0, np.array([0.5, 0.2], dtype=np.float32))
+            trace.record(0, 0, slice(None), np.array([[[0.5]]], dtype=np.float32))
 
     @pytest.mark.parametrize(
         "row, message",
@@ -502,26 +515,43 @@ class TestTrace:
         ids=["sums_to_one_outside_unit_range", "nan", "short_sum"],
     )
     def test_record_names_the_bad_row(self, row, message):
-        trace = AttentionTrace(2, 4, base_position=3)
+        # heads 1 and 2 at positions 3 and 4 after a 3-token prompt; the bad
+        # row is head 2's step 2
+        trace = AttentionTrace(2, 4, 2, base_position=3)
+        block = np.zeros((2, 2, 5), dtype=np.float32)
+        block[:, 0, :4] = 0.25
+        block[:, 1, :] = 0.2
+        block[1, 1] = [0.0, 0.0, 0.0, *row]
         with pytest.raises(ContractError, match=rf"layer 1, head 2, step 2 {re.escape(message)}"):
-            trace.record(1, 2, 4, np.array(row, dtype=np.float32))
-        assert trace.steps(1, 2) == []
+            trace.record(1, 3, slice(1, 3), block)
+        assert trace.steps(1) == [] and not trace.rows.any()
+
+    def test_screen_flags_only_rows_the_check_rejects(self):
+        # sums 1 + 7e-6 and 1 + 2e-5, both in the screen's band or past it
+        trace = AttentionTrace(1, 2, 1, base_position=1)
+        block = np.array([[[0.5, 0.500007]], [[0.5, 0.5]]], dtype=np.float32)
+        trace.record(0, 1, np.array([1, 0]), block)
+        assert trace.row(0, 1, 1).tobytes() == block[0, 0].tobytes()
+        assert trace.row(0, 0, 1).tobytes() == block[1, 0].tobytes()
+        block[1, 0, 1] = 0.50002
+        with pytest.raises(ContractError, match="head 0, step 1 sums to 1.00002"):
+            AttentionTrace(1, 2, 1, base_position=1).record(0, 1, np.array([1, 0]), block)
 
     def test_missing_row_raises(self):
-        trace = AttentionTrace(1, 1)
+        trace = AttentionTrace(1, 1, 1)
         with pytest.raises(InsufficientTraceError):
             trace.row(0, 0, 1)
 
     def test_base_position_offsets_steps(self):
-        trace = AttentionTrace(1, 1, base_position=3)
-        trace.record(0, 0, 2, np.array([0.5, 0.5], dtype=np.float32))  # inside prompt
-        trace.record(0, 0, 3, np.array([0.25, 0.25, 0.5], dtype=np.float32))
-        assert trace.steps(0, 0) == [1]
-        assert len(trace.row(0, 0, 1)) == 3
+        trace = AttentionTrace(1, 1, 2, base_position=3)
+        trace.record(0, 3, slice(None), np.array([[[0.25, 0.25, 0.5, 0.0]]], dtype=np.float32))
+        assert trace.steps(0) == [1]
+        assert trace.row(0, 0, 1).tolist() == [0.25, 0.25, 0.5, 0.0]
+        assert trace.rows.shape == (1, 1, 2, 5)
 
     def test_csv_round_trip(self, tmp_path):
         weights = small_weights(seed=8)
-        trace = AttentionTrace(2, 4)
+        trace = AttentionTrace(2, 4, 4)
         rng = np.random.default_rng(6)
         rows = rng.standard_normal((4, 32)).astype(np.float32)
         tensors = singleton_tensors(weights)
@@ -532,9 +562,16 @@ class TestTrace:
         path = tmp_path / "trace.csv"
         export_trace_csv(trace, path)
         loaded = load_trace_csv(path)
-        for layer in range(2):
-            for head in range(4):
-                for step in trace.steps(layer, head):
-                    np.testing.assert_array_equal(
-                        loaded.row(layer, head, step), trace.row(layer, head, step)
-                    )
+        assert loaded.recorded == trace.recorded == [4, 4]
+        assert loaded.base_position == trace.base_position == 0
+        assert loaded.rows.tobytes() == trace.rows.tobytes()
+
+    def test_loader_rejects_layers_of_different_prompt_lengths(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "layer,head,step,position,probability\n"
+            "0,0,1,0,1.0\n1,0,1,0,0.5\n1,0,1,1,0.5\n"
+        )
+        with pytest.raises(ValidationError, match="layer 1 has step 1 of 2 positions where "
+                           "step 1 of 1 positions should come next"):
+            load_trace_csv(path)

@@ -324,13 +324,12 @@ class TestAnalyze:
         # two heads with identical rows at 5 steps
         from chai.attention import AttentionTrace, export_trace_csv
 
-        trace = AttentionTrace(1, 2)
+        trace = AttentionTrace(1, 2, 5)
         for step in range(1, 6):
             row = np.zeros(step, dtype=np.float32)
             row[0] = 0.75
             row[-1] += 0.25
-            for head in (0, 1):
-                trace._rows.setdefault((0, head), {})[step] = row
+            trace.record(0, step - 1, slice(None), np.array([[row], [row]]))
         trace_path = tmp_path / "trace.csv"
         export_trace_csv(trace, trace_path)
         assert main([
@@ -434,11 +433,13 @@ class TestAnalyze:
             ("short_step", "layer 0 has step 8 of 10 positions where step 8 of 11"),
             ("header_only", "has no rows"),
             ("layers_stop_apart", "layer 1 has steps 1..3 where layer 0 has steps 1..12"),
+            ("late_start", "layer 0 has step 2 of 5 positions where step 1 of 4 positions"),
+            ("negative_layer", "line 2: negative layer -1 or head 0"),
         ],
         ids=[
             "no_position_column", "non_numeric_probability", "missing_position",
             "short_row", "missing_head", "missing_step", "short_step", "header_only",
-            "layers_stop_apart",
+            "layers_stop_apart", "late_start", "negative_layer",
         ],
     )
     def test_malformed_trace_is_usage_error(self, tmp_path, capsys, defect, message):
@@ -451,6 +452,7 @@ class TestAnalyze:
             "short_step": lambda f: f[0] == "0" and f[2:4] == ["8", "10"],
             "header_only": lambda f: f[0] != "layer",
             "layers_stop_apart": lambda f: f[0] == "1" and int(f[2]) > 3,
+            "late_start": lambda f: f[2] == "1",
         }
         trace_path, _ = self._trace_from_fixture(tmp_path)
         lines = trace_path.read_text().splitlines()
@@ -458,6 +460,8 @@ class TestAnalyze:
             lines = [",".join(line.split(",")[:3] + line.split(",")[4:]) for line in lines]
         elif defect == "non_numeric_probability":
             lines[1] = lines[1].rsplit(",", 1)[0] + ",abc"
+        elif defect == "negative_layer":  # would otherwise land in the last layer's rows
+            lines[1] = "-1," + lines[1].split(",", 1)[1]
         else:
             lines = [line for line in lines if not dropped[defect](line.split(","))]
         trace_path.write_text("\n".join(lines) + "\n")
@@ -466,7 +470,8 @@ class TestAnalyze:
                 "analyze", "--trace", str(trace_path), "--what", what,
                 "--out", str(tmp_path / "out"),
             ]) == 2
-            assert message in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert message in err and err.count("error:") == 1
             assert not (tmp_path / "out" / f"{what}.csv").exists()
 
     @pytest.mark.parametrize(
@@ -533,6 +538,41 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert f"profile file {ppath} is malformed: profile {field.replace('_', ' ')}" in err
+        assert not written.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "histogram"])
+    @pytest.mark.parametrize(
+        "field, value", [("assignment", [0, 0, True, 1]), ("representatives", [False, 2])]
+    )
+    def test_boolean_cluster_id_is_malformed_profile(
+        self, tmp_path, capsys, field, value, command
+    ):
+        # JSON's true and false would pass as the ids 1 and 0
+        trace_path, ppath = self._trace_from_fixture(tmp_path)
+        profile = read_json(ppath)
+        assert profile["static_assignment"]["layers"][0] == {
+            "assignment": [0, 0, 1, 1], "representatives": [0, 2]
+        }
+        profile["static_assignment"]["layers"][0][field] = value
+        ppath.write_text(json.dumps(profile))
+        out = tmp_path / "out"
+        if command == "generate":
+            code = main([
+                "generate", "--weights", str(tmp_path / "weights.bin"), "--mode",
+                "CHAI_STATIC", "--profile", str(ppath), "--prompt",
+                str(tmp_path / "prompt.bin"), "--steps", "8", "--out", str(out),
+            ])
+            written = out
+        else:
+            code = main([
+                "analyze", "--trace", str(trace_path), "--what", "histogram",
+                "--profile", str(ppath), "--out", str(out),
+            ])
+            written = out / "histogram.json"
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"profile file {ppath} is malformed: " in err and err.count("error:") == 1
+        assert "non-integer cluster id or representative in LayerPlan(" in err
         assert not written.exists()
 
     def test_stability_idempotent(self, tmp_path):

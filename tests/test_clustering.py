@@ -10,7 +10,7 @@ import pytest
 import chai
 import chai.clustering as clustering_mod
 import helpers
-from chai.attention import AttentionTrace
+from chai.attention import AttentionTrace, export_trace_csv, load_trace_csv
 from chai.clustering import (
     DEFAULT_RESTARTS,
     choose_representatives,
@@ -24,24 +24,26 @@ from chai.clustering import (
 )
 from chai.errors import ContractError, InsufficientTraceError, ShapeError, ValidationError
 from chai.plan import ClusterPlan, LayerPlan
-from chai.engine import _traced_prefix
+from chai.engine import _traced_prefix, generate
 from helpers import (
     acceptance_corpus,
     acceptance_fixture,
     grouped_plan,
+    reference_extract_features,
     reference_kmeans,
     reference_sse_curve,
 )
 
 
 def build_trace(head_rows):
-    """Trace for one layer from {head: [row_step1, row_step2, ...]} lists."""
-    num_heads = len(head_rows)
-    trace = AttentionTrace(1, num_heads)
-    for head, rows in head_rows.items():
-        for i, row in enumerate(rows):
-            row = np.asarray(row, dtype=np.float32)
-            trace._rows.setdefault((0, head), {})[i + 1] = row
+    """Trace for one layer from {head: [row_step1, row_step2, ...]} lists,
+    heads 0..H-1, each step's rows one position longer than the last."""
+    steps = len(head_rows[0])
+    base = len(head_rows[0][0]) - 1
+    trace = AttentionTrace(1, len(head_rows), steps, base)
+    for step in range(steps):
+        block = np.array([[head_rows[h][step]] for h in range(len(head_rows))], np.float32)
+        trace.record(0, base + step, slice(None), block)
     return trace
 
 
@@ -125,6 +127,61 @@ class TestExtractFeatures:
         trace = build_trace({0: peaked_rows(3, 0)})
         with pytest.raises(InsufficientTraceError):
             extract_features(trace, 0, (1, 5))
+
+
+class TestExtractFeaturesOracle:
+    """The one-slice features against the per-head reference
+    `reference_extract_features`, byte for byte, on every kind of trace."""
+
+    @staticmethod
+    def assert_same(trace, layer, window):
+        got = extract_features(trace, layer, window)
+        want = reference_extract_features(trace, layer, window)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def assert_windows_same(self, trace):
+        last = trace.max_step()
+        for layer in range(trace.num_layers):
+            for window in ((1, last), (1, 1), (2, last), (1, last - 1), (2, 3)):
+                self.assert_same(trace, layer, window)
+
+    @pytest.mark.parametrize("mode", ["MHA", "CHAI"])
+    def test_generate_traces(self, mode):
+        weights, plan = helpers.redundant_fixture([2, 2], seed=6)
+        profile = helpers.fixture_profile(weights, plan)
+        result = generate(weights, [1, 2, 3], 10, mode, profile=profile, collect_trace=True)
+        assert result.trace.max_step() == (10 if mode == "MHA" else 5)
+        self.assert_windows_same(result.trace)
+
+    def test_calibration_prefixes(self):
+        weights, _ = acceptance_fixture()
+        for tokens in acceptance_corpus(weights.config, samples=2):
+            self.assert_windows_same(_traced_prefix(weights, tokens))
+
+    def test_csv_loaded_trace(self, tmp_path):
+        weights = helpers.small_weights(seed=4)
+        trace = generate(weights, [5, 6, 7, 8], 9, "MHA", collect_trace=True).trace
+        export_trace_csv(trace, tmp_path / "trace.csv")
+        loaded = load_trace_csv(tmp_path / "trace.csv")
+        self.assert_windows_same(loaded)
+        assert extract_features(loaded, 1, (1, 9)).tobytes() == (
+            extract_features(trace, 1, (1, 9)).tobytes()
+        )
+
+    def test_membership_stability_sliding_windows(self, monkeypatch):
+        windows = []
+
+        def checked(trace, layer, window):
+            windows.append(window)
+            self.assert_same(trace, layer, window)
+            return extract_features(trace, layer, window)
+
+        monkeypatch.setattr(clustering_mod, "extract_features", checked)
+        weights = helpers.small_weights(seed=5)
+        trace = generate(weights, [1, 2, 3], 12, "MHA", collect_trace=True).trace
+        membership_stability(trace, _FakeProfile([2, 3]), 5, 12)
+        assert (8, 12) in windows and min(first for first, _ in windows) == 1
 
 
 class TestKMeans:
@@ -442,7 +499,9 @@ class TestRepairEmpty:
         points = np.asarray(points, dtype=np.float64)
         centroids = np.asarray(centroids, dtype=np.float64)
         d2 = clustering_mod._sqdist(points, centroids)
-        return clustering_mod._repair_empty(points, np.asarray(assignment), centroids, d2)
+        assignment = np.asarray(assignment)
+        counts = np.bincount(assignment, minlength=len(centroids))
+        return clustering_mod._repair_empty(points, assignment, centroids, d2, counts)
 
     def test_equal_distances_go_to_lowest_index(self):
         assignment, centroids = self.repair([[5.0], [1.0], [-1.0]], [1, 0, 0], [[0.0], [5.0], [50.0]])
@@ -469,7 +528,9 @@ class TestRepairEmpty:
         points = np.array([[0.0], [1.0]])
         assignment = np.array([0, 1])
         centroids = np.array([[0.0], [1.0]])
-        got = clustering_mod._repair_empty(points, assignment, centroids, np.zeros((2, 2)))
+        got = clustering_mod._repair_empty(
+            points, assignment, centroids, np.zeros((2, 2)), np.array([1, 1])
+        )
         assert got[0] is assignment and got[1] is centroids
 
     @pytest.mark.parametrize(
@@ -637,6 +698,20 @@ class TestMembershipStability:
         trace = build_trace(rows)
         _, counts = membership_stability(trace, _FakeProfile([2]), 5, 10)
         assert np.all(counts >= 0) and np.all(counts <= 5)
+
+    @pytest.mark.parametrize("from_step", [5, 6, 9])
+    def test_counts_equal_to_reference_on_generated_traces(self, from_step):
+        changed = 0
+        for seed in range(3):
+            weights = helpers.small_weights(seed=seed, num_heads=8, head_dim=4)
+            trace = generate(weights, [1, 2, 3], 12, "MHA", collect_trace=True).trace
+            profile = _FakeProfile([3, 4], seed=seed)
+            steps, counts = membership_stability(trace, profile, from_step, 12)
+            want = helpers.reference_membership_changes(trace, profile, from_step, 12)
+            assert steps == list(range(from_step, 13))
+            assert counts.dtype == want.dtype and np.array_equal(counts, want)
+            changed += int(counts.sum())
+        assert changed > 0
 
     def test_range_before_window_rejected(self):
         trace = self._grouped_trace(4, [0, 0, 1, 1], 8)

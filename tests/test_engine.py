@@ -20,6 +20,8 @@ from chai.engine import (
 from chai.errors import ContractError, ValidationError
 from chai.plan import ClusterPlan, HeadLayout
 from helpers import (
+    acceptance_corpus,
+    acceptance_fixture,
     degenerate_profile,
     fixture_profile,
     random_prompt,
@@ -114,9 +116,54 @@ class TestGenerateMha:
     def test_trace_collection_covers_all_steps(self):
         weights = small_weights(seed=3)
         result = generate(weights, [1, 2, 3], 6, "MHA", collect_trace=True)
-        assert result.trace.steps(0, 0) == [1, 2, 3, 4, 5, 6]
+        assert result.trace.steps(0) == result.trace.steps(1) == [1, 2, 3, 4, 5, 6]
+        assert result.trace.rows.shape == (2, 4, 6, 3 + 6)
         # step s attends over prompt + s positions
         assert len(result.trace.row(0, 0, 4)) == 3 + 4
+
+
+class TestTraceRecording:
+    """The trace is written once per layer and head group, never per head."""
+
+    @staticmethod
+    def count_records(monkeypatch) -> list:
+        calls = []
+        real = attention_mod.AttentionTrace.record
+
+        def spy(trace, *args):
+            calls.append(args)
+            return real(trace, *args)
+
+        monkeypatch.setattr(attention_mod.AttentionTrace, "record", spy)
+        return calls
+
+    def test_chai_request_records_once_per_layer_and_traced_step(self, monkeypatch):
+        weights, plan = redundant_fixture([2, 2], seed=6)
+        calls = self.count_records(monkeypatch)
+        generate(weights, [1, 2, 3], 10, "CHAI", profile=fixture_profile(weights, plan),
+                 identify_at=4)
+        assert len(calls) == weights.config.num_layers * 4
+
+    def test_one_group_calibration_records_once_per_layer_and_sample(self, monkeypatch):
+        weights, _ = acceptance_fixture()
+        calls = self.count_records(monkeypatch)
+        calibrate(weights, acceptance_corpus(weights.config, samples=3), window=5)
+        assert len(calls) == weights.config.num_layers * 3
+
+    def test_ragged_head_groups_give_the_same_profile(self, monkeypatch, tmp_path):
+        weights, _ = acceptance_fixture()
+        corpus = acceptance_corpus(weights.config, samples=3)
+        calibrate(weights, corpus, window=10).save(tmp_path / "one_group.json")
+        # a 10-token window's (G, 10, 10) float32 scores take 400 bytes per
+        # head, so at 1200 bytes the 16 heads run in groups of 3, 3, 3, 3, 3, 1
+        monkeypatch.setattr(attention_mod, "SCORE_BUFFER_BYTES", 1200)
+        calls = self.count_records(monkeypatch)
+        calibrate(weights, corpus, window=10).save(tmp_path / "ragged.json")
+        assert len(calls) == weights.config.num_layers * 3 * 6
+        assert {args[2].stop - args[2].start for args in calls} == {3, 1}
+        assert (tmp_path / "ragged.json").read_bytes() == (
+            tmp_path / "one_group.json"
+        ).read_bytes()
 
 
 class TestGenerateChai:
@@ -174,8 +221,8 @@ class TestGenerateChai:
             weights, [1, 2, 3], 10, "CHAI", profile=profile, collect_trace=True
         )
         # trace rows exist for exactly steps 1..identify_at
-        for head in range(weights.config.num_heads):
-            assert result.trace.steps(0, head) == [1, 2, 3, 4, 5]
+        assert result.trace.steps(0) == result.trace.steps(1) == [1, 2, 3, 4, 5]
+        assert result.trace.rows.shape == (2, 4, 5, 3 + 5)
         # key-head count drops at step 6 and stays down; values keep all heads
         for step_index, counts in enumerate(result.per_step_key_head_counts):
             want = [2, 2] if step_index >= 5 else [4, 4]
