@@ -182,6 +182,11 @@ def _load_prompt(args, config):
     import numpy as np
 
     path = _require_file(args.prompt, "prompt file")
+    size = path.stat().st_size
+    if size % 4:
+        raise ValidationError(
+            f"prompt file {path} is {size} bytes, not a whole number of 4-byte token ids"
+        )
     return np.fromfile(path, dtype="<i4").tolist()
 
 

@@ -189,12 +189,23 @@ def prefill(
     return _forward_pass(weights, prompt, cache, mha_forward, plan_tensors, trace)
 
 
+def _token_ids(config: ModelConfig, tokens, what: str) -> list[int]:
+    """`tokens` as ints, each an integer that is not a bool (numpy integers
+    pass) and lies in [0, vocab_size); `what` names them in the error."""
+    tokens = list(tokens)
+    for t in tokens:
+        if not (is_integer(t) or isinstance(t, np.integer)) or not 0 <= t < config.vocab_size:
+            raise ValidationError(
+                f"{what} has token id {t!r}; token ids must be integers "
+                f"in [0, {config.vocab_size})"
+            )
+    return [int(t) for t in tokens]
+
+
 def _validate_prompt(config: ModelConfig, prompt, steps: int) -> list[int]:
-    prompt = [int(t) for t in prompt]
+    prompt = _token_ids(config, prompt, "prompt")
     if not prompt:
         raise ValidationError("prompt must contain at least one token id")
-    if any(t < 0 or t >= config.vocab_size for t in prompt):
-        raise ValidationError(f"prompt token ids must lie in [0, {config.vocab_size})")
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if len(prompt) + steps > config.max_seq_len:
@@ -431,7 +442,9 @@ def calibrate(
     layer's cluster count at the elbow, and bake a static assignment from the
     corpus-mean features."""
     config = weights.config
-    corpus = [list(sample) for sample in corpus]
+    corpus = [
+        _token_ids(config, sample, f"corpus sample {index}") for index, sample in enumerate(corpus)
+    ]
     if not corpus:
         raise ValidationError("calibration corpus is empty")
     if sample_count is None:
@@ -461,8 +474,6 @@ def calibrate(
                 f"corpus sample {index} has {len(sample)} tokens, "
                 f"needs at least {window} to decode the feature window"
             )
-        if any(t < 0 or t >= config.vocab_size for t in sample[:window]):
-            raise ValidationError(f"corpus sample {index} has token ids out of range")
         samples.append(sample[:window])
 
     layers = range(config.num_layers)

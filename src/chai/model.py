@@ -18,12 +18,20 @@ and is mapped to a float via (z >> 11) / 2**53 * 2 - 1, i.e. uniform in
 tensors are drawn in this order: token_embedding, then per layer
 wq, wk, wv, wo, w_gate, w_up, w_down, then output_projection (row-major
 within each tensor). Norm gains are not drawn; they start at 1.
+
+`_tensor_manifest` is the one list of tensors: it sets the draw order, the
+weight file's order and the order `save_weights` and `weights_equal` walk,
+and `_assemble` is the one place that builds `Weights` from its entries.
+`load_weights` checks the file's header before it allocates anything the
+header sizes, then reads the payload once into one float32 array; every
+tensor is a reshaped view of it, so a load's peak is about one payload.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, fields
 
@@ -97,18 +105,6 @@ class Weights:
     output_projection: np.ndarray  # (d, vocab)
 
 
-def _layer_tensors(config: ModelConfig) -> list[tuple[str, int, int]]:
-    """(name, rows, cols) of each LayerWeights tensor in field order, which is
-    also the draw order and the file order. Norm gains (names ending in
-    `_gain`) are (d,) vectors, stored as 1-row matrices."""
-    d, ffn = config.model_dim, config.ffn_dim
-    shapes = {"w_gate": (d, ffn), "w_up": (d, ffn), "w_down": (ffn, d)}
-    return [
-        (f.name, *((1, d) if f.name.endswith("_gain") else shapes.get(f.name, (d, d))))
-        for f in fields(LayerWeights)
-    ]
-
-
 def head_columns(w: np.ndarray, heads, head_dim: int) -> np.ndarray:
     """Column submatrix of `w` covering the given heads' blocks, in the order
     given. Returns `w` itself when the selection is all heads in order."""
@@ -147,26 +143,12 @@ def init_random(config: ModelConfig, seed: int) -> Weights:
     stream = _SplitMix64Stream(seed)
     scale = 1.0 / np.sqrt(config.model_dim)
 
-    def draw(rows, cols):
-        block = stream.uniform(rows * cols) * scale
-        return block.astype(np.float32).reshape(rows, cols)
+    def draw(name, rows, cols):
+        if name.endswith("_gain"):
+            return np.ones((rows, cols), dtype=np.float32)
+        return (stream.uniform(rows * cols) * scale).astype(np.float32).reshape(rows, cols)
 
-    d, vocab = config.model_dim, config.vocab_size
-    token_embedding = draw(vocab, d)
-    layers = [
-        LayerWeights(**{
-            name: np.ones(cols, dtype=np.float32) if name.endswith("_gain") else draw(rows, cols)
-            for name, rows, cols in _layer_tensors(config)
-        })
-        for _ in range(config.num_layers)
-    ]
-    return Weights(
-        config=config,
-        token_embedding=token_embedding,
-        layers=layers,
-        final_norm_gain=np.ones(d, dtype=np.float32),
-        output_projection=draw(d, vocab),
-    )
+    return _assemble(config, [draw(*entry) for entry in _tensor_manifest(config)])
 
 
 def make_redundant(weights: Weights, plan: ClusterPlan) -> Weights:
@@ -183,10 +165,10 @@ def make_redundant(weights: Weights, plan: ClusterPlan) -> Weights:
         # head h takes its cluster representative's block
         source = [layer_plan.representatives[c] for c in layer_plan.assignment]
         tensors = {}
-        for name, *_ in _layer_tensors(config):
-            w = getattr(layer_weights, name)
-            shared = name in ("wq", "wk")
-            tensors[name] = _fresh_columns(w, source, config.head_dim) if shared else w.copy()
+        for f in fields(LayerWeights):
+            w = getattr(layer_weights, f.name)
+            shared = f.name in ("wq", "wk")
+            tensors[f.name] = _fresh_columns(w, source, config.head_dim) if shared else w.copy()
         out_layers.append(LayerWeights(**tensors))
     return Weights(
         config=config,
@@ -198,26 +180,50 @@ def make_redundant(weights: Weights, plan: ClusterPlan) -> Weights:
 
 
 def _tensor_manifest(config: ModelConfig) -> list[tuple[str, int, int]]:
-    """Ordered (name, rows, cols) entries; vectors are stored as 1-row matrices."""
-    d, vocab = config.model_dim, config.vocab_size
-    entries = [("token_embedding", vocab, d)]
-    for layer in range(config.num_layers):
-        entries += [
-            (f"layers.{layer}.{name}", rows, cols) for name, rows, cols in _layer_tensors(config)
-        ]
-    entries.append(("final_norm_gain", 1, d))
-    entries.append(("output_projection", d, vocab))
-    return entries
+    """(name, rows, cols) of every tensor, in draw order, file order and the
+    order of `_tensors_in_order`. A layer's tensors are `layers.{i}.{field}`
+    in LayerWeights field order; norm gains (names ending in `_gain`) are (d,)
+    vectors, stored as 1-row matrices."""
+    d, ffn, vocab = config.model_dim, config.ffn_dim, config.vocab_size
+    shapes = {"w_gate": (d, ffn), "w_up": (d, ffn), "w_down": (ffn, d)}
+    layer = [
+        (f.name, *((1, d) if f.name.endswith("_gain") else shapes.get(f.name, (d, d))))
+        for f in fields(LayerWeights)
+    ]
+    return [
+        ("token_embedding", vocab, d),
+        *((f"layers.{i}.{name}", rows, cols)
+          for i in range(config.num_layers) for name, rows, cols in layer),
+        ("final_norm_gain", 1, d),
+        ("output_projection", d, vocab),
+    ]
+
+
+def _assemble(config: ModelConfig, tensors) -> Weights:
+    """`Weights` from (rows, cols) arrays in manifest order; a `_gain` becomes
+    a vector."""
+    arrays = {
+        name: tensor.reshape(-1) if name.endswith("_gain") else tensor
+        for (name, *_), tensor in zip(_tensor_manifest(config), tensors, strict=True)
+    }
+    layers = [
+        LayerWeights(**{f.name: arrays[f"layers.{i}.{f.name}"] for f in fields(LayerWeights)})
+        for i in range(config.num_layers)
+    ]
+    return Weights(
+        config=config,
+        token_embedding=arrays["token_embedding"],
+        layers=layers,
+        final_norm_gain=arrays["final_norm_gain"],
+        output_projection=arrays["output_projection"],
+    )
 
 
 def _tensors_in_order(weights: Weights):
-    yield weights.token_embedding
-    names = [name for name, *_ in _layer_tensors(weights.config)]
-    for layer_weights in weights.layers:
-        for name in names:
-            yield getattr(layer_weights, name)
-    yield weights.final_norm_gain
-    yield weights.output_projection
+    """Every tensor of `weights`, in manifest order."""
+    for name, *_ in _tensor_manifest(weights.config):
+        *owner, field = name.split(".")  # ["layers", i] for a layer's tensor
+        yield getattr(weights.layers[int(owner[1])] if owner else weights, field)
 
 
 def save_weights(weights: Weights, path) -> None:
@@ -236,80 +242,70 @@ def save_weights(weights: Weights, path) -> None:
 
 
 def load_weights(path) -> Weights:
-    """Inverse of save_weights; round-trips bit-exactly.
+    """Inverse of save_weights; round-trips bit-exactly. Every tensor is a
+    view of one float32 array, the payload read once.
 
     Raises BadMagicError, TruncatedWeightsError, or HeaderMismatchError for
     the corresponding file defects.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        size = os.fstat(fh.fileno()).st_size
+        if size < len(MAGIC):
+            raise TruncatedWeightsError(f"file is {size} bytes, shorter than the magic")
+        magic = fh.read(len(MAGIC))
+        if magic != MAGIC:
+            raise BadMagicError(f"expected magic {MAGIC!r}, found {magic!r}")
+        offset = len(MAGIC)
 
-    if len(data) < len(MAGIC):
-        raise TruncatedWeightsError(f"file is {len(data)} bytes, shorter than the magic")
-    if data[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"expected magic {MAGIC!r}, found {data[: len(MAGIC)]!r}")
-    offset = len(MAGIC)
+        if size < offset + 4:
+            raise TruncatedWeightsError("file ends inside the header length prefix")
+        (header_len,) = struct.unpack("<I", fh.read(4))
+        offset += 4
+        if size < offset + header_len:
+            raise TruncatedWeightsError("file ends inside the JSON header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            config = ModelConfig.from_dict(header["config"])
+            declared = [tuple(entry) for entry in header["tensors"]]
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
+            raise HeaderMismatchError(f"unreadable header: {exc}") from exc
+        offset += header_len
 
-    if len(data) < offset + 4:
-        raise TruncatedWeightsError("file ends inside the header length prefix")
-    (header_len,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    if len(data) < offset + header_len:
-        raise TruncatedWeightsError("file ends inside the JSON header")
-    try:
-        header = json.loads(data[offset : offset + header_len].decode("utf-8"))
-        config = ModelConfig.from_dict(header["config"])
-        declared = [tuple(entry) for entry in header["tensors"]]
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
-        raise HeaderMismatchError(f"unreadable header: {exc}") from exc
-    offset += header_len
+        # Check the header's sizes against the config, and the payload's
+        # against the file, before allocating anything whose size they set.
+        entry_count = 3 + config.num_layers * len(fields(LayerWeights))
+        if len(declared) != entry_count:
+            raise HeaderMismatchError(
+                f"header declares {len(declared)} tensors, its config implies {entry_count}"
+            )
+        expected = _tensor_manifest(config)
+        if declared != expected:
+            got, want = next((g, w) for g, w in zip(declared, expected) if g != w)
+            raise HeaderMismatchError(
+                "tensor manifest does not match the declared config "
+                f"(first difference: declared {got}, expected {want})"
+            )
+        payload = 4 * sum(rows * cols for _, rows, cols in expected)
+        if size - offset < payload:
+            raise TruncatedWeightsError(
+                f"file ends inside the payload: need {payload} bytes at offset {offset}, "
+                f"{size - offset} left"
+            )
+        if size - offset > payload:
+            raise HeaderMismatchError(f"{size - offset - payload} trailing bytes after the payload")
 
-    # Check the header's sizes against the config before building anything
-    # whose size the config sets.
-    entry_count = 3 + config.num_layers * len(_layer_tensors(config))
-    if len(declared) != entry_count:
-        raise HeaderMismatchError(
-            f"header declares {len(declared)} tensors, its config implies {entry_count}"
-        )
-    expected = _tensor_manifest(config)
-    if declared != expected:
-        got, want = next((g, w) for g, w in zip(declared, expected) if g != w)
-        raise HeaderMismatchError(
-            "tensor manifest does not match the declared config "
-            f"(first difference: declared {got}, expected {want})"
-        )
-    payload = 4 * sum(rows * cols for _, rows, cols in expected)
-    if len(data) - offset < payload:
-        raise TruncatedWeightsError(
-            f"file ends inside the payload: need {payload} bytes at offset {offset}, "
-            f"{len(data) - offset} left"
-        )
-    if len(data) - offset > payload:
-        raise HeaderMismatchError(
-            f"{len(data) - offset - payload} trailing bytes after the payload"
-        )
+        flat = np.empty(payload // 4, dtype="<f4")
+        read = fh.readinto(flat)
+        if read != payload:
+            raise TruncatedWeightsError(
+                f"file ends inside the payload: read {read} of {payload} bytes at offset {offset}"
+            )
 
-    arrays = {}
-    for name, rows, cols in expected:
-        flat = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=offset)
-        arrays[name] = flat.astype(np.float32).reshape(rows, cols)
-        offset += rows * cols * 4
-
-    def tensor(name):
-        # a norm gain is a vector, stored as a 1-row matrix
-        return arrays[name].reshape(-1) if name.endswith("_gain") else arrays[name]
-
-    layers = [
-        LayerWeights(**{name: tensor(f"layers.{i}.{name}") for name, *_ in _layer_tensors(config)})
-        for i in range(config.num_layers)
-    ]
-    return Weights(
-        config=config,
-        token_embedding=tensor("token_embedding"),
-        layers=layers,
-        final_norm_gain=tensor("final_norm_gain"),
-        output_projection=tensor("output_projection"),
-    )
+    flat = flat.astype(np.float32, copy=False)  # a copy only on big-endian hosts
+    pieces = np.split(flat, np.cumsum([rows * cols for _, rows, cols in expected])[:-1])
+    return _assemble(config, [
+        piece.reshape(rows, cols) for piece, (_, rows, cols) in zip(pieces, expected)
+    ])
 
 
 def weights_equal(a: Weights, b: Weights) -> bool:

@@ -154,6 +154,24 @@ class TestCalibrate:
         err = self._rejected_threshold_message(tmp_path, capsys, monkeypatch, "-1")
         assert "threshold must be >= 0, got -1.0" in err
 
+    @pytest.mark.parametrize("at", [0, 5])  # inside and past the 5-token window
+    @pytest.mark.parametrize("token", ["a", None, 1.5, True])
+    def test_non_integer_corpus_token_is_usage_error(self, tmp_path, capsys, token, at):
+        # 1.5 and true are not coerced to 1
+        wpath, _ = write_small_model(tmp_path)
+        sample = [1, 2, 3, 4, 5, 6]
+        sample[at] = token
+        cpath = tmp_path / "corpus.json"
+        cpath.write_text(json.dumps([sample, [1, 2, 3, 4, 5, 6]]))
+        out = tmp_path / "profile.json"
+        assert main([
+            "calibrate", "--weights", str(wpath), "--corpus", str(cpath), "--out", str(out),
+        ]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert f"corpus sample 0 has token id {token!r}" in lines[0]
+        assert not out.exists()
+
     def test_recovers_fixture_counts(self, tmp_path):
         weights, plan = redundant_fixture([1, 3], seed=17)
         wpath = tmp_path / "weights.bin"
@@ -662,6 +680,22 @@ class TestExitCodes:
         assert "--trace" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "compare"])
+    def test_prompt_file_with_a_partial_token_is_usage_error(self, tmp_path, capsys, command):
+        # a trailing partial token id is an error, not dropped
+        wpath, ppath, *_ = write_fixture_model(tmp_path)
+        prompt_path = tmp_path / "prompt.bin"
+        prompt_path.write_bytes(np.array([1], dtype="<i4").tobytes() + b"\x00")
+        out = tmp_path / "r.json"
+        assert main([
+            command, "--weights", str(wpath), "--profile", str(ppath),
+            "--prompt", str(prompt_path), "--steps", "4", "--out", str(out),
+        ]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert f"prompt file {prompt_path} is 5 bytes" in lines[0]
+        assert not out.exists()
 
     def test_header_with_a_billion_layers_is_usage_error(self, tmp_path):
         # The header claims 10**9 layers over a 2-layer file. Loading must

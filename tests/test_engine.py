@@ -80,6 +80,11 @@ class TestGenerateMha:
             generate(weights, [1] * 60, 10, "MHA")
         with pytest.raises(ValidationError):
             generate(weights, [1], 4, "MHA", identify_at=0)
+        for token in (True, 1.5, "1", None):
+            with pytest.raises(ValidationError, match="token ids must be integers"):
+                generate(weights, [1, token], 4, "MHA")
+        numpy_ids = generate(weights, np.array([1, 2], dtype=np.int32), 4, "MHA")
+        assert numpy_ids.tokens == generate(weights, [1, 2], 4, "MHA").tokens
 
     @pytest.mark.parametrize("mode", MODES)
     def test_request_at_max_seq_len_fills_every_plane(self, mode, monkeypatch):

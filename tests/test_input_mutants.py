@@ -1,6 +1,7 @@
-"""Seeded mutation test of every input loader: profile JSON, trace CSV and the
-CHAIWGT1 weight header. Every mutant must exit 0, or 2 with one `error:`
-line; a traceback or exit 1 means a malformed input got past the loaders."""
+"""Seeded mutation test of every input loader: profile JSON, trace CSV,
+calibration corpus JSON and the CHAIWGT1 weight header. Every mutant must
+exit 0, or 2 with one `error:` line; a traceback or exit 1 means a malformed
+input got past the loaders."""
 
 import copy
 import csv
@@ -120,9 +121,9 @@ def weight_header_mutants(data: bytes, rng, count: int):
 
 @pytest.fixture
 def inputs(tmp_path):
-    """A valid 2-layer, 4-head model, its profile, a prompt and the trace of
-    an MHA run over it; returns each input's path and the argv of every
-    command it feeds."""
+    """A valid 2-layer, 4-head model, its profile, a prompt, the trace of an
+    MHA run over it and a calibration corpus; returns each input's path and
+    the argv of every command it feeds."""
     weights, plan = redundant_fixture([2, 3], seed=4)
     wpath, ppath = tmp_path / "weights.bin", tmp_path / "profile.json"
     save_weights(weights, wpath)
@@ -149,11 +150,12 @@ def inputs(tmp_path):
                             analyze("stability")]),
         "trace": (trace, [analyze(what) for what in
                           ("correlation", "elbow", "stability", "histogram")]),
+        "corpus": (corpus, [calibrate]),
         "weights": (wpath, [generate("MHA"), generate("CHAI_QKV"), calibrate]),
     }
 
 
-@pytest.mark.parametrize("loader", ["profile", "trace", "weights"])
+@pytest.mark.parametrize("loader", ["profile", "trace", "corpus", "weights"])
 def test_every_mutant_exits_0_or_2_with_one_error_line(inputs, capsys, loader):
     path, commands = inputs[loader]
     original = path.read_bytes()
@@ -163,6 +165,7 @@ def test_every_mutant_exits_0_or_2_with_one_error_line(inputs, capsys, loader):
     mutants = {
         "profile": (mutate_json(json.loads(original), rng) for _ in range(150)),
         "trace": (mutate_csv(original.decode(), rng) for _ in range(150)),
+        "corpus": (mutate_json(json.loads(original), rng) for _ in range(150)),
         "weights": weight_header_mutants(original, rng, 80),
     }[loader]
     exits = []

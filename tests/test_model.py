@@ -1,6 +1,11 @@
+import tracemalloc
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from chai import model
 from chai.errors import (
     BadMagicError,
     ConfigError,
@@ -9,6 +14,7 @@ from chai.errors import (
     TruncatedWeightsError,
 )
 from chai.model import (
+    LayerWeights,
     ModelConfig,
     byte_prompt,
     init_random,
@@ -185,6 +191,59 @@ class TestWeightFile:
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(HeaderMismatchError):
             load_weights(path)
+
+    def test_file_shrinking_before_the_payload_read(self, tmp_path, monkeypatch):
+        # the size check passes on the size fstat reported; the read comes up short
+        path = tmp_path / "shrinking.bin"
+        save_weights(small_weights(), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-17])
+        monkeypatch.setattr(model.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(TruncatedWeightsError, match="file ends inside the payload: read"):
+            load_weights(path)
+
+
+def all_tensors(weights):
+    return [
+        weights.token_embedding,
+        *(getattr(layer, f.name) for layer in weights.layers for f in fields(LayerWeights)),
+        weights.final_norm_gain,
+        weights.output_projection,
+    ]
+
+
+class TestLoadedTensors:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """A 1.6 MB weight file, large enough that the payload dominates a load."""
+        path = tmp_path / "w.bin"
+        config = small_config(num_heads=4, head_dim=32, model_dim=128, ffn_dim=256, vocab_size=256)
+        save_weights(init_random(config, seed=5), path)
+        return path
+
+    def test_load_peak_is_about_one_payload(self, saved):
+        tracemalloc.start()
+        try:
+            load_weights(saved)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * saved.stat().st_size, peak / saved.stat().st_size
+
+    def test_tensors_are_aligned_writable_float32(self, saved):
+        for tensor in all_tensors(load_weights(saved)):
+            assert tensor.dtype == np.float32
+            flags = tensor.flags
+            assert flags.c_contiguous and flags.aligned and flags.writeable
+
+    def test_writing_one_tensor_leaves_the_others(self, saved):
+        tensors = all_tensors(load_weights(saved))
+        before = [tensor.copy() for tensor in tensors]
+        for i, tensor in enumerate(tensors):
+            tensor.fill(7.0)
+            for j, other in enumerate(tensors):
+                want = np.full_like(other, 7.0) if j <= i else before[j]
+                np.testing.assert_array_equal(other, want, err_msg=f"after writing tensor {i}")
 
 
 def test_byte_prompt_maps_bytes_to_ids():
