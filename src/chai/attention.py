@@ -9,12 +9,12 @@ which prunes nothing and selects no weight columns; only under it does the
 kernel attend several causal rows at once, as prefill does. `mha_forward`,
 prefill's entry point, delegates to the kernel under that plan.
 The head layout (`plan.HeadLayout`) says which key and value heads a cache
-stores: a `KVCache` is built in one layout, which it keeps, with room for
-the positions its caller asks for (a request's prompt plus its decode
-steps, never the model's `max_seq_len`). `prune_cache` copies exactly the
-rows a frozen plan's layout names into a cache of the same capacity, which
-drops key storage for non-representative heads and, under the value-reuse
-variant only, their value rows too, and `PlanTensors` gathers only the
+stores: a `KVCache` is built in one layout, with room for the positions
+its caller asks for (a request's prompt plus its decode steps, never
+the model's `max_seq_len`). `prune_cache` narrows that one cache in
+place to a frozen plan's layout, layer by layer at the same capacity: it
+drops the key planes of non-representative heads and, under the value-reuse
+variant only, their value planes too, and `PlanTensors` gathers only the
 weight columns the layout reads. The kernel runs only when the cache and
 the plan tensors share one layout object. An `AttentionTrace` is one
 zero-filled array sized to its traced steps, filled once per head group.
@@ -75,14 +75,14 @@ class LayerCache:
 
 class KVCache:
     """One LayerCache per layer with room for `capacity` positions of every
-    key and value head `layout` names. `pruned` marks a cache made by
-    `prune_cache`, whose layout may still equal the singleton one."""
+    key and value head `layout` names. `pruned` marks a cache `prune_cache`
+    has narrowed, whose layout may still equal the singleton one."""
 
-    def __init__(self, config: ModelConfig, layout: HeadLayout, capacity: int, pruned=False):
+    def __init__(self, config: ModelConfig, layout: HeadLayout, capacity: int):
         self.config = config
         self.layout = layout
         self.capacity = capacity
-        self.pruned = pruned
+        self.pruned = False
         self.layers = [
             LayerCache(len(key_heads), len(value_heads), capacity, config.head_dim)
             for key_heads, value_heads in zip(layout.key_heads, layout.value_heads)
@@ -103,20 +103,22 @@ class KVCache:
         }
 
 
-def prune_cache(cache: KVCache, layout: HeadLayout) -> KVCache:
-    """A new cache in `layout`, at the unpruned `cache`'s capacity, holding
-    its rows of the key and value heads the layout names; the sequence
-    length is unchanged."""
+def prune_cache(cache: KVCache, layout: HeadLayout) -> None:
+    """Narrow the unpruned `cache` in place, layer by layer, to the heads
+    `layout` names, at the same capacity and length; a layout for another
+    layer count raises ValueError before any layer changes."""
     if cache.pruned:
         raise ContractError("cache is already pruned")
-    pruned = KVCache(cache.config, layout, cache.capacity, pruned=True)
-    per_layer = zip(cache.layers, pruned.layers, layout.key_heads, layout.value_heads, strict=True)
-    for lc, new_lc, key_heads, value_heads in per_layer:
-        # unpruned, so head h's planes sit in row h
-        new_lc.keys[:, : lc.length, :] = lc.keys[key_heads, : lc.length, :]
-        new_lc.values[:, : lc.length, :] = lc.values[value_heads, : lc.length, :]
-        new_lc.length = lc.length
-    return pruned
+    per_layer = list(zip(cache.layers, layout.key_heads, layout.value_heads, strict=True))
+    for lc, key_heads, value_heads in per_layer:
+        # unpruned, so head h's planes sit in row h; a replaced array is
+        # released before the next layer's copy, and one whose heads the
+        # layout all keeps stays, uncopied
+        if len(key_heads) < len(lc.keys):
+            lc.keys = lc.keys[key_heads]
+        if len(value_heads) < len(lc.values):
+            lc.values = lc.values[value_heads]
+    cache.layout, cache.pruned = layout, True
 
 
 def _probability_row_problem(row: np.ndarray) -> str | None:
@@ -191,14 +193,12 @@ TRACE_COLUMNS = ("layer", "head", "step", "position", "probability")
 def export_trace_csv(trace: AttentionTrace, path) -> None:
     """Write rows as (layer, head, step, position, probability), RFC-4180."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for layer in range(trace.num_layers):
             for head in range(trace.num_heads):
                 for step in trace.steps(layer):
-                    row = trace.row(layer, head, step)
-                    for position, prob in enumerate(row.tolist()):
-                        writer.writerow([layer, head, step, position, repr(prob)])
+                    row = enumerate(trace.row(layer, head, step).tolist())
+                    fh.writelines(f"{layer},{head},{step},{p},{prob!r}\r\n" for p, prob in row)
 
 
 def load_trace_csv(path) -> AttentionTrace:

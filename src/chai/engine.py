@@ -19,9 +19,9 @@ to them (a calibration prefix traces its window). The plan freezes at
 one site, at the start of step split + 1: to the profile's calibration-time
 assignment for the static variant, or else to a clustering of each layer's
 heads from the traced rows (k-means with the profile's per-layer cluster
-counts). The frozen plan's head layout is derived, the cache is pruned to
-it (dropping the unpruned cache), and only then are the layout's
-`PlanTensors` gathered; they run every remaining step.
+counts). The frozen plan's head layout is derived, the request's one cache
+is pruned to it in place (releasing each layer's dropped planes), and only
+then are the layout's `PlanTensors` gathered; they run every remaining step.
 
 The decode loop only decodes: per-step bytes, FLOPs and head counts are
 computed after it, once per plan epoch, from that epoch's layout and the
@@ -344,14 +344,14 @@ def generate(
     plan: ClusterPlan | None = None  # the frozen plan
     identification_ms = 0.0
 
-    trace = None
-    if split and (collect_trace or split < steps):
-        trace = AttentionTrace(config.num_layers, config.num_heads, split, len(prompt))
-
     start = time.perf_counter()
     logits = prefill(weights, prompt, cache, tensors)
     prefill_ms = (time.perf_counter() - start) * 1000.0
     next_token = int(np.argmax(logits))
+
+    trace = None  # built after prefill (untraced), so its peak does not hold it
+    if split and (collect_trace or split < steps):
+        trace = AttentionTrace(config.num_layers, config.num_heads, split, len(prompt))
 
     tokens: list[int] = []
     step_ms: list[float] = []
@@ -370,7 +370,7 @@ def generate(
                     [derived_seed(derived_seed(seed), layer) for layer in layers],
                 )
             layouts.append(HeadLayout(config, plan, reuse_values=mode == "CHAI_QKV"))
-            cache = prune_cache(cache, layouts[-1])  # drops the unpruned cache
+            prune_cache(cache, layouts[-1])
             tensors = PlanTensors(layouts[-1], weights.layers, config.head_dim)
             identification_ms = (time.perf_counter() - ident_start) * 1000.0
 

@@ -23,14 +23,18 @@ within each tensor). Norm gains are not drawn; they start at 1.
 weight file's order and the order `save_weights` and `weights_equal` walk,
 and `_assemble` is the one place that builds `Weights` from its entries.
 `load_weights` checks the file's header before it allocates anything the
-header sizes, then reads the payload once into one float32 array; every
-tensor is a reshaped view of it, so a load's peak is about one payload.
+header sizes, then reads the payload once into its own private anonymous
+memory mapping, viewed as one float32 array; every tensor is a reshaped
+view of it, so a load's peak is about one payload, and the mapping goes
+back to the system whole when the weights are released.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import mmap
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -42,7 +46,6 @@ from .plan import ClusterPlan, HeadLayout
 
 MAGIC = b"CHAIWGT1"
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -128,14 +131,24 @@ class _SplitMix64Stream:
         self.drawn = 0
 
     def uniform(self, count: int) -> np.ndarray:
-        index = np.arange(self.drawn + 1, self.drawn + count + 1, dtype=np.uint64)
+        # uint64 arithmetic wraps mod 2**64. Every step runs in place: fresh
+        # temporaries would make a draw's cost hinge on the allocator's state.
+        z = np.arange(self.drawn + 1, self.drawn + count + 1, dtype=np.uint64)
         self.drawn += count
         with np.errstate(over="ignore"):
-            z = (self.seed + index * np.uint64(_GOLDEN)) & _MASK64
-            z = ((z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)) & _MASK64
-            z = ((z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)) & _MASK64
-            z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)).astype(np.float64) / float(1 << 53) * 2.0 - 1.0
+            z *= np.uint64(_GOLDEN)
+            z += self.seed
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(_MIX1)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(_MIX2)
+            z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        u = z.astype(np.float64)
+        u /= float(1 << 53)
+        u *= 2.0
+        u -= 1.0
+        return u
 
 
 def init_random(config: ModelConfig, seed: int) -> Weights:
@@ -243,7 +256,8 @@ def save_weights(weights: Weights, path) -> None:
 
 def load_weights(path) -> Weights:
     """Inverse of save_weights; round-trips bit-exactly. Every tensor is a
-    view of one float32 array, the payload read once.
+    view of one float32 array over an anonymous mapping of exactly the
+    payload's bytes, read once.
 
     Raises BadMagicError, TruncatedWeightsError, or HeaderMismatchError for
     the corresponding file defects.
@@ -294,14 +308,18 @@ def load_weights(path) -> Weights:
         if size - offset > payload:
             raise HeaderMismatchError(f"{size - offset - payload} trailing bytes after the payload")
 
-        flat = np.empty(payload // 4, dtype="<f4")
-        read = fh.readinto(flat)
+        # a private anonymous mapping, apart from the heap, on huge pages
+        # where the kernel has them, as numpy asks for its own large arrays
+        buffer = mmap.mmap(-1, payload, flags=mmap.MAP_PRIVATE)
+        with contextlib.suppress(AttributeError, OSError):  # no madvise, or no huge pages
+            buffer.madvise(mmap.MADV_HUGEPAGE)
+        read = fh.readinto(buffer)
         if read != payload:
             raise TruncatedWeightsError(
                 f"file ends inside the payload: read {read} of {payload} bytes at offset {offset}"
             )
 
-    flat = flat.astype(np.float32, copy=False)  # a copy only on big-endian hosts
+    flat = np.frombuffer(buffer, "<f4").astype(np.float32, copy=False)  # copy if big-endian
     pieces = np.split(flat, np.cumsum([rows * cols for _, rows, cols in expected])[:-1])
     return _assemble(config, [
         piece.reshape(rows, cols) for piece, (_, rows, cols) in zip(pieces, expected)

@@ -150,9 +150,9 @@ class TestMhaForward:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 32)).astype(np.float32)
         mha_forward(x, weights.layers[0], cache, 0, tensors)
-        pruned = prune_cache(cache, HeadLayout(weights.config, grouped_plan(2, 4, [2, 2])))
+        prune_cache(cache, HeadLayout(weights.config, grouped_plan(2, 4, [2, 2])))
         with pytest.raises(ModeMismatchError):
-            mha_forward(x, weights.layers[0], pruned, 0, tensors)
+            mha_forward(x, weights.layers[0], cache, 0, tensors)
 
 
 class TestPrefillOracle:
@@ -263,7 +263,7 @@ class TestClusteredForward:
             clustered_forward(rows[0][None, :], weights.layers[0], cache, 0, singleton)
         ]
         tensors = plan_tensors(weights, plan, reuse_values=reuse_values)
-        cache = prune_cache(cache, tensors.layout)
+        prune_cache(cache, tensors.layout)
         for row in rows[1:]:
             clustered_outs.append(
                 clustered_forward(row[None, :], weights.layers[0], cache, 0, tensors)
@@ -312,7 +312,7 @@ class TestClusteredForward:
             for step, row in enumerate(rows, start=1):
                 if clustered and step == 3:
                     tensors = plan_tensors(weights, plan)
-                    cache = prune_cache(cache, tensors.layout)
+                    prune_cache(cache, tensors.layout)
                 clustered_forward(row[None, :], weights.layers[0], cache, 0, tensors, trace)
             traces.append(trace)
         plain, mixed = traces
@@ -344,7 +344,7 @@ class TestClusteredForward:
         x = rng.standard_normal((1, 32)).astype(np.float32)
         clustered_forward(x, weights.layers[0], cache, 0, tensors)
         plan = grouped_plan(2, 4, [2, 2])
-        cache = prune_cache(cache, HeadLayout(weights.config, plan))
+        prune_cache(cache, HeadLayout(weights.config, plan))
         other_plan = ClusterPlan(
             layers=(
                 LayerPlan(assignment=(0, 1, 1, 1), representatives=(0, 1)),
@@ -380,7 +380,7 @@ class TestClusteredForward:
         )
         plan = grouped_plan(2, 4, [2, 2])
         tensors = plan_tensors(weights, plan, reuse_values=prune_values)
-        cache = prune_cache(cache, tensors.layout)
+        prune_cache(cache, tensors.layout)
         before = cache.layers[0].keys.copy(), cache.layers[0].values.copy()
         x = rng.standard_normal((3, 32)).astype(np.float32)
         with pytest.raises(ContractError, match="only the singleton plan"):
@@ -400,22 +400,30 @@ class TestPruneCache:
             mha_forward(x, weights.layers[layer], cache, layer, tensors)
         return cache
 
+    @staticmethod
+    def _live_planes(cache):
+        """Copies of each layer's live (keys, values), taken before pruning."""
+        return [(lc.live_keys().copy(), lc.live_values().copy()) for lc in cache.layers]
+
     def test_singleton_plan_keeps_everything(self):
         weights = small_weights()
         cache = self._filled_cache(weights)
-        pruned = prune_cache(cache, HeadLayout.singleton(weights.config))
-        assert pruned.summary()["layers"] == cache.summary()["layers"]
-        assert pruned.summary()["pruned"] and not cache.summary()["pruned"]
-        for old, new in zip(cache.layers, pruned.layers):
-            np.testing.assert_array_equal(new.live_keys(), old.live_keys())
-            np.testing.assert_array_equal(new.live_values(), old.live_values())
+        before = self._live_planes(cache)
+        arrays = [(lc.keys, lc.values) for lc in cache.layers]
+        summary = cache.summary()
+        assert prune_cache(cache, HeadLayout.singleton(weights.config)) is None
+        assert cache.summary()["layers"] == summary["layers"]
+        assert cache.summary()["pruned"] and not summary["pruned"]
+        for lc, (keys, values), (old_keys, old_values) in zip(cache.layers, before, arrays):
+            assert lc.keys is old_keys and lc.values is old_values  # nothing copied
+            np.testing.assert_array_equal(lc.live_keys(), keys)
+            np.testing.assert_array_equal(lc.live_values(), values)
 
     def test_single_cluster_keeps_one_key_head(self):
         weights = small_weights()
-        pruned = prune_cache(
-            self._filled_cache(weights), HeadLayout(weights.config, grouped_plan(2, 4, [1, 1]))
-        )
-        for lc in pruned.layers:
+        cache = self._filled_cache(weights)
+        prune_cache(cache, HeadLayout(weights.config, grouped_plan(2, 4, [1, 1])))
+        for lc in cache.layers:
             assert lc.keys.shape[0] == 1
             assert lc.values.shape[0] == 4
             assert lc.length == 5
@@ -434,38 +442,53 @@ class TestPruneCache:
         x = rng.standard_normal((100, 64)).astype(np.float32)
         mha_forward(x, weights.layers[0], cache, 0, tensors)
         assert cache.layers[0].live_keys().shape[:2] == (32, 100)
-        pruned = prune_cache(cache, HeadLayout(config, grouped_plan(1, 32, [18])))
-        assert pruned.layers[0].live_keys().shape[:2] == (18, 100)
-        assert pruned.layers[0].live_values().shape[:2] == (32, 100)
+        prune_cache(cache, HeadLayout(config, grouped_plan(1, 32, [18])))
+        assert cache.layers[0].live_keys().shape[:2] == (18, 100)
+        assert cache.layers[0].live_values().shape[:2] == (32, 100)
 
     def test_keeps_the_source_capacity(self):
         weights = small_weights()
         cache = self._filled_cache(weights, tokens=5, capacity=9)
-        pruned = prune_cache(cache, HeadLayout(weights.config, grouped_plan(2, 4, [2, 1])))
-        assert pruned.capacity == cache.capacity == 9
-        for lc in pruned.layers:
+        prune_cache(cache, HeadLayout(weights.config, grouped_plan(2, 4, [2, 1])))
+        assert cache.capacity == 9
+        for lc in cache.layers:
             assert lc.length == 5
             assert lc.keys.shape[1] == lc.values.shape[1] == 9
+            assert not lc.keys[:, 5:].any()
 
     def test_double_pruning_rejected(self):
         weights = small_weights()
         cache = self._filled_cache(weights)
         layout = HeadLayout(weights.config, grouped_plan(2, 4, [2, 2]))
-        pruned = prune_cache(cache, layout)
-        with pytest.raises(ContractError):
-            prune_cache(pruned, layout)
+        prune_cache(cache, layout)
+        with pytest.raises(ContractError, match="cache is already pruned"):
+            prune_cache(cache, layout)
+        assert cache.layout is layout
+
+    def test_keys_narrowed_and_values_kept_uncopied(self):
+        weights = small_weights()
+        cache = self._filled_cache(weights)
+        before = self._live_planes(cache)
+        values = [lc.values for lc in cache.layers]
+        layout = HeadLayout(weights.config, grouped_plan(2, 4, [2, 2]))
+        prune_cache(cache, layout)
+        assert cache.layout is layout
+        for lc, (keys, _), old_values in zip(cache.layers, before, values):
+            np.testing.assert_array_equal(lc.live_keys(), keys[[0, 2]])
+            assert lc.values is old_values
 
     def test_prune_values_keeps_representatives_only(self):
         weights = small_weights()
         cache = self._filled_cache(weights)
-        pruned = prune_cache(
+        before = self._live_planes(cache)
+        prune_cache(
             cache, HeadLayout(weights.config, grouped_plan(2, 4, [2, 2]), reuse_values=True)
         )
-        for layer in pruned.summary()["layers"]:
+        for layer in cache.summary()["layers"]:
             assert layer["stored_value_heads"] == layer["stored_key_heads"] == [0, 2]
-        for old, lc in zip(cache.layers, pruned.layers):
-            np.testing.assert_array_equal(lc.live_keys(), old.live_keys()[[0, 2]])
-            np.testing.assert_array_equal(lc.live_values(), old.live_values()[[0, 2]])
+        for lc, (keys, values) in zip(cache.layers, before):
+            np.testing.assert_array_equal(lc.live_keys(), keys[[0, 2]])
+            np.testing.assert_array_equal(lc.live_values(), values[[0, 2]])
 
     @pytest.mark.parametrize(
         "layers, heads, message",
@@ -483,9 +506,14 @@ class TestPruneCache:
 
     def test_tensors_for_other_layer_count_rejected(self):
         cache = self._filled_cache(small_weights())
+        layout = cache.layout
+        arrays = [(lc.keys, lc.values) for lc in cache.layers]
         one_layer = HeadLayout(small_config(num_layers=1), grouped_plan(1, 4, [2]))
         with pytest.raises(ValueError):
             prune_cache(cache, one_layer)
+        # rejected before any layer is narrowed
+        assert cache.layout is layout and not cache.pruned
+        assert all(lc.keys is k and lc.values is v for lc, (k, v) in zip(cache.layers, arrays))
 
 
 class TestLayerCache:

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,12 +19,14 @@ from chai.engine import (
     prefill,
 )
 from chai.errors import ContractError, ValidationError
+from chai.model import ModelConfig, init_random
 from chai.plan import ClusterPlan, HeadLayout
 from helpers import (
     acceptance_corpus,
     acceptance_fixture,
     degenerate_profile,
     fixture_profile,
+    grouped_plan,
     random_prompt,
     redundant_fixture,
     singleton_tensors,
@@ -414,16 +417,23 @@ class TestDecodeGathers:
     @pytest.mark.parametrize("mode", ["CHAI", "CHAI_STATIC", "CHAI_QKV"])
     def test_frozen_plan_tensors_built_after_unpruned_cache_released(self, mode, monkeypatch):
         weights, plan = redundant_fixture([2, 3], seed=6)
-        prefill_caches = []  # weak references: the spies must not keep a cache alive
-        alive_at_build = []
+        caches, planes = [], []  # weak references: the spies must keep nothing alive
+        at_build = []  # per PlanTensors build: (key arrays alive, value arrays kept)
         real_prefill, real_tensors = engine_mod.prefill, engine_mod.PlanTensors
 
         def spy_prefill(weights, prompt, cache, *args, **kwargs):
-            prefill_caches.append(weakref.ref(cache))
-            return real_prefill(weights, prompt, cache, *args, **kwargs)
+            logits = real_prefill(weights, prompt, cache, *args, **kwargs)
+            caches.append(weakref.ref(cache))
+            planes.extend((weakref.ref(lc.keys), weakref.ref(lc.values)) for lc in cache.layers)
+            return logits
 
         def spy_tensors(*args, **kwargs):
-            alive_at_build.append([ref() is not None for ref in prefill_caches])
+            if planes:
+                layers = caches[0]().layers
+                at_build.append((
+                    [keys() is not None for keys, _ in planes],
+                    [values() is lc.values for (_, values), lc in zip(planes, layers)],
+                ))
             return real_tensors(*args, **kwargs)
 
         monkeypatch.setattr(engine_mod, "prefill", spy_prefill)
@@ -432,10 +442,40 @@ class TestDecodeGathers:
             weights, random_prompt(weights.config, 6), 8, mode,
             profile=fixture_profile(weights, plan),
         )
-        assert result.plan is not None
-        # the singleton tensors precede prefill; the frozen plan's column
-        # gathers come only after pruning has dropped the prefill cache
-        assert alive_at_build == [[], [False]]
+        assert result.plan is not None and len(caches) == 1
+        # the frozen plan's column gathers come only after pruning has
+        # released every pre-prune key array of the request's one cache; the
+        # value arrays stay uncopied unless the layout prunes values too
+        layers = weights.config.num_layers
+        assert at_build == [([False] * layers, [mode != "CHAI_QKV"] * layers)]
+
+
+class TestRequestMemory:
+    @pytest.fixture(scope="class")
+    def benchmark_model(self):
+        """The benchmark's model shape with its 16/8/8/4 cluster counts."""
+        config = ModelConfig(
+            num_layers=4, num_heads=32, model_dim=512, head_dim=16,
+            ffn_dim=256, vocab_size=64, max_seq_len=2112,
+        )
+        weights = init_random(config, seed=0)
+        return weights, fixture_profile(weights, grouped_plan(4, 32, [16, 8, 8, 4]))
+
+    @pytest.mark.parametrize("prompt_len, steps", [(512, 32), (256, 512)])
+    def test_no_clustered_request_peaks_above_mha(self, benchmark_model, prompt_len, steps):
+        # Pruning narrows the request's one cache: a clustered request never
+        # holds two caches, so its traced peak stays within plain attention's.
+        weights, profile = benchmark_model
+        prompt = random_prompt(weights.config, prompt_len)
+        peaks = {}
+        for mode in MODES:
+            tracemalloc.start()
+            try:
+                generate(weights, prompt, steps, mode, profile=profile)
+                peaks[mode] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert all(peak <= peaks["MHA"] for peak in peaks.values()), peaks
 
 
 class TestFlopOrdering:

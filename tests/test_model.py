@@ -230,6 +230,28 @@ class TestLoadedTensors:
             tracemalloc.stop()
         assert peak < 1.25 * saved.stat().st_size, peak / saved.stat().st_size
 
+    def test_payload_is_its_own_mapping(self, saved):
+        # The payload is read into an anonymous mapping, not the heap:
+        # tracemalloc sees almost none of a load.
+        tracemalloc.start()
+        try:
+            load_weights(saved)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * saved.stat().st_size, peak / saved.stat().st_size
+
+    def test_tensors_lie_in_one_buffer_of_exactly_the_payload(self, saved):
+        def root(array):
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            return array
+
+        tensors = all_tensors(load_weights(saved))
+        (flat,) = {id(root(tensor)): root(tensor) for tensor in tensors}.values()
+        payload = sum(tensor.nbytes for tensor in tensors)
+        assert flat.nbytes == memoryview(flat.base).nbytes == payload
+
     def test_tensors_are_aligned_writable_float32(self, saved):
         for tensor in all_tensors(load_weights(saved)):
             assert tensor.dtype == np.float32
