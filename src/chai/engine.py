@@ -19,8 +19,9 @@ to them (a calibration prefix traces its window). The plan freezes at
 one site, at the start of step split + 1: to the profile's calibration-time
 assignment for the static variant, or else to a clustering of each layer's
 heads from the traced rows (k-means with the profile's per-layer cluster
-counts). The frozen plan's head layout is derived, the request's one cache
-is pruned to it in place (releasing each layer's dropped planes), and only
+counts), after which the trace is released unless the caller collects it.
+The frozen plan's head layout is derived, the request's one cache is
+pruned to it in place (releasing each layer's dropped planes), and only
 then are the layout's `PlanTensors` gathered; they run every remaining step.
 
 The decode loop only decodes: per-step bytes, FLOPs and head counts are
@@ -369,6 +370,8 @@ def generate(
                     profile.cluster_counts,
                     [derived_seed(derived_seed(seed), layer) for layer in layers],
                 )
+                if not collect_trace:
+                    trace = None  # the plan is all the frozen epoch needs of it
             layouts.append(HeadLayout(config, plan, reuse_values=mode == "CHAI_QKV"))
             prune_cache(cache, layouts[-1])
             tensors = PlanTensors(layouts[-1], weights.layers, config.head_dim)
@@ -412,7 +415,7 @@ def generate(
         kv_cache_summary=cache.summary(),
         memory_report=memory_report,
         flop_report=flop_report,
-        trace=trace if collect_trace else None,
+        trace=trace,
         logits=collected_logits if collect_logits else None,
         identified_at_step=None if plan is None else split,
     )
@@ -460,12 +463,8 @@ def calibrate(
     if threshold < 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")
 
-    if sample_count < len(corpus):
-        rng = np.random.default_rng(seed)
-        chosen = sorted(rng.choice(len(corpus), size=sample_count, replace=False).tolist())
-    else:
-        chosen = list(range(len(corpus)))
-
+    rng = np.random.default_rng(seed)
+    chosen = sorted(rng.choice(len(corpus), size=sample_count, replace=False).tolist())
     samples = []
     for index in chosen:
         sample = corpus[index]

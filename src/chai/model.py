@@ -19,14 +19,19 @@ tensors are drawn in this order: token_embedding, then per layer
 wq, wk, wv, wo, w_gate, w_up, w_down, then output_projection (row-major
 within each tensor). Norm gains are not drawn; they start at 1.
 
-`_tensor_manifest` is the one list of tensors: it sets the draw order, the
-weight file's order and the order `save_weights` and `weights_equal` walk,
-and `_assemble` is the one place that builds `Weights` from its entries.
-`load_weights` checks the file's header before it allocates anything the
-header sizes, then reads the payload once into its own private anonymous
-memory mapping, viewed as one float32 array; every tensor is a reshaped
-view of it, so a load's peak is about one payload, and the mapping goes
-back to the system whole when the weights are released.
+`_tensor_manifest` is the one list of tensors: it sets the draw order and
+the weight file's order. Every `Weights` holds one flat float32 `payload`
+of all its tensors in manifest order, and each tensor is a view of it,
+whatever made the weights; `_assemble` is the one place that builds
+`Weights`, from a config and a payload. `init_random` draws into a fresh
+payload, `make_redundant` copies one and overwrites head blocks in place,
+`save_weights` writes it in one call and `weights_equal` compares two.
+`Weights` and `LayerWeights` are frozen, so no tensor can be rebound away
+from the payload. `load_weights` checks the file's header before it
+allocates anything the header sizes, then reads the payload once into its
+own private anonymous memory mapping, so a load's peak is about one
+payload, and the mapping goes back to the system whole when the weights
+are released.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BadMagicError, ConfigError, HeaderMismatchError, TruncatedWeightsError
-from .plan import ClusterPlan, HeadLayout
+from .plan import ClusterPlan, HeadLayout, is_integer
 
 MAGIC = b"CHAIWGT1"
 
@@ -64,7 +69,7 @@ class ModelConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, int) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
         if self.model_dim != self.num_heads * self.head_dim:
             raise ConfigError(
@@ -86,7 +91,7 @@ class ModelConfig:
         return hashlib.sha256(payload).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerWeights:
     attn_norm_gain: np.ndarray  # (d,)
     wq: np.ndarray  # (d, d), column-partitioned into H head blocks of width d_h
@@ -99,11 +104,12 @@ class LayerWeights:
     w_down: np.ndarray  # (ffn, d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Weights:
     config: ModelConfig
+    payload: np.ndarray  # flat float32: every tensor below, in manifest order
     token_embedding: np.ndarray  # (vocab, d)
-    layers: list[LayerWeights]
+    layers: tuple[LayerWeights, ...]
     final_norm_gain: np.ndarray  # (d,)
     output_projection: np.ndarray  # (d, vocab)
 
@@ -115,12 +121,6 @@ def head_columns(w: np.ndarray, heads, head_dim: int) -> np.ndarray:
         return w
     cols = np.concatenate([np.arange(h * head_dim, (h + 1) * head_dim) for h in heads])
     return np.ascontiguousarray(w[:, cols])
-
-
-def _fresh_columns(w: np.ndarray, heads, head_dim: int) -> np.ndarray:
-    """`head_columns` that never returns `w` itself."""
-    columns = head_columns(w, heads, head_dim)
-    return w.copy() if columns is w else columns
 
 
 class _SplitMix64Stream:
@@ -155,13 +155,12 @@ def init_random(config: ModelConfig, seed: int) -> Weights:
     """Deterministic random weights; identical (config, seed) is bit-identical."""
     stream = _SplitMix64Stream(seed)
     scale = 1.0 / np.sqrt(config.model_dim)
-
-    def draw(name, rows, cols):
-        if name.endswith("_gain"):
-            return np.ones((rows, cols), dtype=np.float32)
-        return (stream.uniform(rows * cols) * scale).astype(np.float32).reshape(rows, cols)
-
-    return _assemble(config, [draw(*entry) for entry in _tensor_manifest(config)])
+    manifest = _tensor_manifest(config)
+    payload = np.empty(sum(rows * cols for _, rows, cols in manifest), np.float32)
+    for (name, *_), piece in zip(manifest, _split(payload, manifest)):
+        # assigning the float64 draw rounds it as astype(np.float32) does
+        piece[:] = 1.0 if name.endswith("_gain") else stream.uniform(piece.size) * scale
+    return _assemble(config, payload)
 
 
 def make_redundant(weights: Weights, plan: ClusterPlan) -> Weights:
@@ -173,29 +172,19 @@ def make_redundant(weights: Weights, plan: ClusterPlan) -> Weights:
     """
     config = weights.config
     HeadLayout(config, plan)  # rejects a plan shaped for another model
-    out_layers = []
-    for layer_weights, layer_plan in zip(weights.layers, plan.layers):
+    redundant = _assemble(config, weights.payload.copy())
+    for layer_weights, layer_plan in zip(redundant.layers, plan.layers):
         # head h takes its cluster representative's block
         source = [layer_plan.representatives[c] for c in layer_plan.assignment]
-        tensors = {}
-        for f in fields(LayerWeights):
-            w = getattr(layer_weights, f.name)
-            shared = f.name in ("wq", "wk")
-            tensors[f.name] = _fresh_columns(w, source, config.head_dim) if shared else w.copy()
-        out_layers.append(LayerWeights(**tensors))
-    return Weights(
-        config=config,
-        token_embedding=weights.token_embedding.copy(),
-        layers=out_layers,
-        final_norm_gain=weights.final_norm_gain.copy(),
-        output_projection=weights.output_projection.copy(),
-    )
+        for w in (layer_weights.wq, layer_weights.wk):
+            w[:] = head_columns(w, source, config.head_dim)
+    return redundant
 
 
 def _tensor_manifest(config: ModelConfig) -> list[tuple[str, int, int]]:
-    """(name, rows, cols) of every tensor, in draw order, file order and the
-    order of `_tensors_in_order`. A layer's tensors are `layers.{i}.{field}`
-    in LayerWeights field order; norm gains (names ending in `_gain`) are (d,)
+    """(name, rows, cols) of every tensor, in draw order, file order and
+    payload order. A layer's tensors are `layers.{i}.{field}` in
+    LayerWeights field order; norm gains (names ending in `_gain`) are (d,)
     vectors, stored as 1-row matrices."""
     d, ffn, vocab = config.model_dim, config.ffn_dim, config.vocab_size
     shapes = {"w_gate": (d, ffn), "w_up": (d, ffn), "w_down": (ffn, d)}
@@ -212,31 +201,31 @@ def _tensor_manifest(config: ModelConfig) -> list[tuple[str, int, int]]:
     ]
 
 
-def _assemble(config: ModelConfig, tensors) -> Weights:
-    """`Weights` from (rows, cols) arrays in manifest order; a `_gain` becomes
-    a vector."""
+def _split(payload: np.ndarray, manifest) -> list[np.ndarray]:
+    """Flat views of `payload`, one per manifest entry."""
+    return np.split(payload, np.cumsum([rows * cols for _, rows, cols in manifest])[:-1])
+
+
+def _assemble(config: ModelConfig, payload: np.ndarray) -> Weights:
+    """`Weights` over `payload`, a flat float32 array of every tensor in
+    manifest order; each tensor is a view of it, and a `_gain` a vector."""
+    manifest = _tensor_manifest(config)
     arrays = {
-        name: tensor.reshape(-1) if name.endswith("_gain") else tensor
-        for (name, *_), tensor in zip(_tensor_manifest(config), tensors, strict=True)
+        name: piece if name.endswith("_gain") else piece.reshape(rows, cols)
+        for (name, rows, cols), piece in zip(manifest, _split(payload, manifest), strict=True)
     }
-    layers = [
+    layers = tuple(
         LayerWeights(**{f.name: arrays[f"layers.{i}.{f.name}"] for f in fields(LayerWeights)})
         for i in range(config.num_layers)
-    ]
+    )
     return Weights(
         config=config,
+        payload=payload,
         token_embedding=arrays["token_embedding"],
         layers=layers,
         final_norm_gain=arrays["final_norm_gain"],
         output_projection=arrays["output_projection"],
     )
-
-
-def _tensors_in_order(weights: Weights):
-    """Every tensor of `weights`, in manifest order."""
-    for name, *_ in _tensor_manifest(weights.config):
-        *owner, field = name.split(".")  # ["layers", i] for a layer's tensor
-        yield getattr(weights.layers[int(owner[1])] if owner else weights, field)
 
 
 def save_weights(weights: Weights, path) -> None:
@@ -250,8 +239,7 @@ def save_weights(weights: Weights, path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        for tensor in _tensors_in_order(weights):
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+        fh.write(weights.payload.astype("<f4", copy=False))
 
 
 def load_weights(path) -> Weights:
@@ -319,19 +307,15 @@ def load_weights(path) -> Weights:
                 f"file ends inside the payload: read {read} of {payload} bytes at offset {offset}"
             )
 
-    flat = np.frombuffer(buffer, "<f4").astype(np.float32, copy=False)  # copy if big-endian
-    pieces = np.split(flat, np.cumsum([rows * cols for _, rows, cols in expected])[:-1])
-    return _assemble(config, [
-        piece.reshape(rows, cols) for piece, (_, rows, cols) in zip(pieces, expected)
-    ])
+    # copies only on a big-endian host
+    return _assemble(config, np.frombuffer(buffer, "<f4").astype(np.float32, copy=False))
 
 
 def weights_equal(a: Weights, b: Weights) -> bool:
-    """Bitwise equality of two weight sets (used by round-trip tests)."""
-    if a.config != b.config:
-        return False
-    pairs = zip(_tensors_in_order(a), _tensors_in_order(b))
-    return all(x.shape == y.shape and np.array_equal(x, y) for x, y in pairs)
+    """Bitwise equality of two weight sets (used by round-trip tests): a NaN
+    equals itself, and 0.0 differs from -0.0."""
+    bits = (a.payload.view(np.uint32), b.payload.view(np.uint32))
+    return a.config == b.config and np.array_equal(*bits)
 
 
 def byte_prompt(text: bytes | str) -> list[int]:

@@ -125,8 +125,8 @@ def acceptance_fixture(base_seed=0, boost=6.0):
     plan = grouped_plan(4, 16, ACCEPTANCE_COUNTS)
     weights = init_random(config, seed=base_seed)
     for lw in weights.layers:
-        lw.wq *= boost
-        lw.wk *= boost
+        lw.wq[...] *= boost
+        lw.wk[...] *= boost
     return make_redundant(weights, plan), plan
 
 

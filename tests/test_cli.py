@@ -715,6 +715,20 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert "header declares 21 tensors, its config implies 9000000003" in lines[0]
 
+    def test_header_with_a_boolean_field_is_usage_error(self, tmp_path, capsys):
+        # JSON's true is a bool, not a one-position model
+        wpath, _ = write_small_model(tmp_path)
+        rewrite_header_config(wpath, max_seq_len=True)
+        out = tmp_path / "r.json"
+        assert main([
+            "generate", "--weights", str(wpath), "--text", "ab", "--steps", "2",
+            "--out", str(out),
+        ]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "max_seq_len must be a positive integer, got True" in lines[0]
+        assert not out.exists()
+
     def test_header_with_a_billion_positions_runs_at_request_size(self, tmp_path):
         # max_seq_len is only the model's limit: caches are sized to the
         # request, so a header allowing 10**9 positions calibrates and

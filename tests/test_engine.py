@@ -477,6 +477,38 @@ class TestRequestMemory:
                 tracemalloc.stop()
         assert all(peak <= peaks["MHA"] for peak in peaks.values()), peaks
 
+    @pytest.mark.parametrize("collect_trace", [False, True])
+    @pytest.mark.parametrize("mode", ["CHAI", "CHAI_QKV"])
+    def test_trace_released_at_the_plan_freeze(self, mode, collect_trace, monkeypatch):
+        weights, plan = redundant_fixture([2, 3], seed=6)
+        traces = []  # weak references to the trace and its rows
+        alive = []  # per decode step: are they still alive?
+        real_trace, real_forward = engine_mod.AttentionTrace, engine_mod._forward_pass
+
+        def spy_trace(*args, **kwargs):
+            trace = real_trace(*args, **kwargs)
+            traces.extend((weakref.ref(trace), weakref.ref(trace.rows)))
+            return trace
+
+        def spy_forward(weights, token_ids, *args, **kwargs):
+            if len(token_ids) == 1:  # a decode step, not the prefill
+                alive.append(any(ref() is not None for ref in traces))
+            return real_forward(weights, token_ids, *args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "AttentionTrace", spy_trace)
+        monkeypatch.setattr(engine_mod, "_forward_pass", spy_forward)
+        split, steps = 4, 8
+        result = generate(
+            weights, random_prompt(weights.config, 6), steps, mode,
+            profile=fixture_profile(weights, plan), identify_at=split,
+            collect_trace=collect_trace,
+        )
+        assert len(traces) == 2 and result.plan is not None
+        # a collected trace lives on in the result; otherwise the plan is
+        # all the frozen epoch keeps of identification
+        assert alive == [True] * split + [collect_trace] * (steps - split)
+        assert (result.trace is not None) == collect_trace
+
 
 class TestFlopOrdering:
     def test_steady_state_ordering(self):

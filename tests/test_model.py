@@ -1,5 +1,7 @@
+import json
+import struct
 import tracemalloc
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,6 +54,11 @@ class TestConfig:
     def test_nonpositive_field_rejected(self):
         with pytest.raises(ConfigError):
             small_config(vocab_size=0)
+
+    def test_boolean_field_rejected(self):
+        # JSON's true loads as a bool, which is an int subclass
+        with pytest.raises(ConfigError, match="max_seq_len must be a positive integer, got True"):
+            small_config(max_seq_len=True)
 
     def test_fingerprint_tracks_config(self):
         assert small_config().fingerprint() == small_config().fingerprint()
@@ -126,6 +133,16 @@ class TestWeightFile:
             path = tmp_path / "w.bin"
             save_weights(weights, path)
             assert weights_equal(load_weights(path), weights)
+
+    def test_equality_is_bitwise(self, tmp_path):
+        weights = small_weights(seed=11)
+        weights.token_embedding[0, :2] = [np.nan, -0.0]
+        path = tmp_path / "w.bin"
+        save_weights(weights, path)
+        assert weights_equal(load_weights(path), weights)
+        signed = load_weights(path)
+        signed.token_embedding[0, 1] = 0.0
+        assert not weights_equal(signed, weights)
 
     def test_round_trip_over_random_small_configs(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -204,6 +221,7 @@ class TestWeightFile:
 
 
 def all_tensors(weights):
+    """Every tensor of `weights`, in manifest order."""
     return [
         weights.token_embedding,
         *(getattr(layer, f.name) for layer in weights.layers for f in fields(LayerWeights)),
@@ -212,13 +230,21 @@ def all_tensors(weights):
     ]
 
 
+def root(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+# 1.6 MB of weights, large enough that the payload dominates a load
+PAYLOAD_CONFIG = small_config(num_heads=4, head_dim=32, model_dim=128, ffn_dim=256, vocab_size=256)
+
+
 class TestLoadedTensors:
     @pytest.fixture
     def saved(self, tmp_path):
-        """A 1.6 MB weight file, large enough that the payload dominates a load."""
         path = tmp_path / "w.bin"
-        config = small_config(num_heads=4, head_dim=32, model_dim=128, ffn_dim=256, vocab_size=256)
-        save_weights(init_random(config, seed=5), path)
+        save_weights(init_random(PAYLOAD_CONFIG, seed=5), path)
         return path
 
     def test_load_peak_is_about_one_payload(self, saved):
@@ -242,30 +268,83 @@ class TestLoadedTensors:
         assert peak < 0.05 * saved.stat().st_size, peak / saved.stat().st_size
 
     def test_tensors_lie_in_one_buffer_of_exactly_the_payload(self, saved):
-        def root(array):
-            while isinstance(array.base, np.ndarray):
-                array = array.base
-            return array
-
         tensors = all_tensors(load_weights(saved))
         (flat,) = {id(root(tensor)): root(tensor) for tensor in tensors}.values()
         payload = sum(tensor.nbytes for tensor in tensors)
         assert flat.nbytes == memoryview(flat.base).nbytes == payload
 
-    def test_tensors_are_aligned_writable_float32(self, saved):
-        for tensor in all_tensors(load_weights(saved)):
+
+class TestOnePayload:
+    """Drawn, copied and loaded weights are all views of one float32 payload."""
+
+    @pytest.fixture(params=["drawn", "redundant", "loaded"])
+    def weights(self, request, tmp_path):
+        drawn = init_random(PAYLOAD_CONFIG, seed=5)
+        if request.param == "drawn":
+            return drawn
+        if request.param == "redundant":
+            return make_redundant(drawn, grouped_plan(2, 4, [2, 1]))
+        save_weights(drawn, tmp_path / "w.bin")
+        return load_weights(tmp_path / "w.bin")
+
+    def test_payload_is_exactly_the_tensors(self, weights):
+        manifest = model._tensor_manifest(weights.config)
+        payload = weights.payload
+        assert payload.dtype == np.float32 and payload.ndim == 1
+        assert payload.nbytes == 4 * sum(rows * cols for _, rows, cols in manifest)
+
+    def test_tensors_lie_in_the_payload_in_manifest_order(self, weights):
+        payload = weights.payload
+        offset = 0
+        for (name, rows, cols), tensor in zip(
+            model._tensor_manifest(weights.config), all_tensors(weights), strict=True
+        ):
+            assert tensor.shape == ((cols,) if name.endswith("_gain") else (rows, cols)), name
+            assert root(tensor) is root(payload), name
+            assert tensor.ctypes.data == payload.ctypes.data + 4 * offset, name
+            offset += rows * cols
+        assert offset == payload.size
+
+    def test_saved_payload_is_the_payload_bytes(self, weights, tmp_path):
+        path = tmp_path / "saved.bin"
+        save_weights(weights, path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        assert json.loads(raw[12 : 12 + header_len])["config"] == weights.config.to_dict()
+        assert raw[12 + header_len :] == weights.payload.tobytes()
+
+    def test_tensors_cannot_be_rebound(self, weights):
+        replacement = np.zeros_like(weights.token_embedding)
+        with pytest.raises(FrozenInstanceError):
+            weights.token_embedding = replacement
+        with pytest.raises(FrozenInstanceError):
+            weights.payload = weights.payload.copy()
+        with pytest.raises(FrozenInstanceError):
+            weights.layers[0].wq = weights.layers[0].wq.copy()
+        with pytest.raises(TypeError):
+            weights.layers[0] = weights.layers[1]
+
+    def test_tensors_are_aligned_writable_float32(self, weights):
+        for tensor in all_tensors(weights):
             assert tensor.dtype == np.float32
             flags = tensor.flags
             assert flags.c_contiguous and flags.aligned and flags.writeable
 
-    def test_writing_one_tensor_leaves_the_others(self, saved):
-        tensors = all_tensors(load_weights(saved))
+    def test_writing_one_tensor_leaves_the_others(self, weights):
+        tensors = all_tensors(weights)
         before = [tensor.copy() for tensor in tensors]
         for i, tensor in enumerate(tensors):
             tensor.fill(7.0)
             for j, other in enumerate(tensors):
                 want = np.full_like(other, 7.0) if j <= i else before[j]
                 np.testing.assert_array_equal(other, want, err_msg=f"after writing tensor {i}")
+
+    def test_make_redundant_leaves_its_source(self, weights):
+        before = weights.payload.copy()
+        redundant = make_redundant(weights, grouped_plan(2, 4, [1, 1]))
+        assert not np.shares_memory(redundant.payload, weights.payload)
+        assert not weights_equal(redundant, weights)
+        np.testing.assert_array_equal(weights.payload, before)
 
 
 def test_byte_prompt_maps_bytes_to_ids():

@@ -2,9 +2,10 @@
 
 Usage: python tools/identity_check.py SRC_DIR OUT_DIR
 
-Runs every command against the package under SRC_DIR (put first on
-PYTHONPATH, with PYTHONDONTWRITEBYTECODE=1 so the tree stays clean) in a
-temporary directory, and writes OUT_DIR/SHA256SUMS: one `sha256  artifact`
+Runs every command, and one Python step that writes a redundant weight
+file, against the package under SRC_DIR (put first on PYTHONPATH, with
+PYTHONDONTWRITEBYTECODE=1 so the tree stays clean) in a temporary
+directory, and writes OUT_DIR/SHA256SUMS: one `sha256  artifact`
 line per artifact. Wall-clock fields are removed before hashing (`timing` of
 the generate JSON, the timed columns of the bench CSV). Two trees compute
 the same thing when their SHA256SUMS files are equal:
@@ -47,14 +48,27 @@ INPUTS = (
 )
 
 
-def _chai(src: Path, work: Path, *args: str) -> None:
+# The weight path the benchmark's set-up takes, which no CLI command runs:
+# init (as weights.bin), make_redundant under a static assignment, save.
+REDUNDANT = """
+from chai.engine import CalibrationProfile
+from chai.model import load_weights, make_redundant, save_weights
+plan = CalibrationProfile.load("w5.json").static_assignment
+save_weights(make_redundant(load_weights("weights.bin"), plan), "redundant.bin")
+"""
+
+
+def _python(src: Path, work: Path, name: str, *args: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "chai.cli", *args],
-        cwd=work, env=env, capture_output=True, text=True,
+        [sys.executable, *args], cwd=work, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
-        raise SystemExit(f"chai {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
+        raise SystemExit(f"{name} exited {proc.returncode}:\n{proc.stderr}")
+
+
+def _chai(src: Path, work: Path, *args: str) -> None:
+    _python(src, work, f"chai {' '.join(args)}", "-m", "chai.cli", *args)
 
 
 def _without_timing(path: Path) -> bytes:
@@ -93,6 +107,8 @@ def run_pipeline(src: Path, work: Path) -> dict[str, bytes]:
               "--window", window, "--out", f"w{window}.json")
         keep(f"w{window}.json")
         keep(f"w{window}_elbow.csv")
+    _python(src, work, "make_redundant", "-c", REDUNDANT)
+    keep("redundant.bin")
 
     for name, prompt, steps, profile, extra in INPUTS:
         for mode in MODES:
