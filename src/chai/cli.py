@@ -389,10 +389,11 @@ def cmd_analyze(args) -> int:
 
     if args.what == "elbow":
         path = out_dir / "elbow.csv"
-        curves = [
-            sse_curve(extract_features(trace, layer, (1, args.window)), seed=args.seed)
-            for layer in range(trace.num_layers)
-        ]
+        layers = range(trace.num_layers)
+        curves = sse_curve(
+            [extract_features(trace, layer, (1, args.window)) for layer in layers],
+            [args.seed for _ in layers],
+        )
         _write_elbow_csv(path, curves)
         print(f"wrote {path}")
         return 0

@@ -288,10 +288,10 @@ def _require_profile(config: ModelConfig, mode: str, profile: CalibrationProfile
 
 def _cluster_plan(layer_features, cluster_counts, seeds) -> ClusterPlan:
     """k-means each layer's (H, F) head features into that layer's cluster
-    count; each cluster's representative is its member nearest the centroid."""
+    count, all layers in one batch; each cluster's representative is its
+    member nearest the centroid."""
     layers = []
-    for features, k, layer_seed in zip(layer_features, cluster_counts, seeds):
-        result = kmeans(features, k, seed=layer_seed)
+    for features, result in zip(layer_features, kmeans(layer_features, cluster_counts, seeds)):
         reps = choose_representatives(features, result.assignment, result.centroids)
         assignment = tuple(int(c) for c in result.assignment)
         layers.append(LayerPlan(assignment=assignment, representatives=tuple(reps)))
@@ -483,14 +483,16 @@ def calibrate(
             [extract_features(trace, layer, (1, window)) for layer in layers]
         )
 
+    # every (layer, sample) curve in one batch, layer by layer
+    count = len(samples)
+    curves = sse_curve(
+        [fs[layer] for layer in layers for fs in feature_sets],
+        [derived_seed(seed, i, layer) for layer in layers for i in range(count)],
+    )
     cluster_counts = []
     elbow_curves = []
     for layer in layers:
-        curves = [
-            sse_curve(feature_sets[i][layer], seed=derived_seed(seed, i, layer))
-            for i in range(len(samples))
-        ]
-        mean_curve = np.mean(np.stack(curves), axis=0)
+        mean_curve = np.mean(np.stack(curves[layer * count : (layer + 1) * count]), axis=0)
         cluster_counts.append(elbow_select(mean_curve, threshold))
         elbow_curves.append([float(e) for e in mean_curve])
 

@@ -281,6 +281,30 @@ def reference_sse_curve(points, seed=0):
     return errors
 
 
+def reference_pairwise_sqdist(points):
+    """`clustering._pairwise_sqdist` as first written: every row computed in
+    full, row i being `((points - points[i]) ** 2).sum(axis=1)`."""
+    pairwise = np.empty((points.shape[0], points.shape[0]), dtype=np.float64)
+    for i, point in enumerate(points):
+        pairwise[i] = ((points - point) ** 2).sum(axis=1)
+    return pairwise
+
+
+def reference_choose_representatives(features, assignment, centroids):
+    """`clustering.choose_representatives` as first written: one distance
+    computation and `argmin` per cluster over its members."""
+    features = np.asarray(features, dtype=np.float64)
+    assignment = np.asarray(assignment)
+    representatives = []
+    for c in range(len(centroids)):
+        members = np.flatnonzero(assignment == c)
+        if members.size == 0:
+            raise ContractError(f"cluster {c} has no members")
+        d2 = ((features[members] - centroids[c]) ** 2).sum(axis=1)
+        representatives.append(int(members[int(np.argmin(d2))]))
+    return representatives
+
+
 def _reference_kmeanspp_init(points, k, rng):
     n = points.shape[0]
     chosen = [int(rng.integers(n))]

@@ -448,6 +448,92 @@ class TestKMeansOracle:
         assert_same_kmeans(got, reference_kmeans(points, 3, seed=2, extra_inits=[relabelled]))
 
 
+class TestBatchOracle:
+    """Batched `kmeans` and `sse_curve` against each set's `reference_kmeans`
+    and `reference_sse_curve`, bit for bit."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Per `_lloyd` call: whether its restarts came from several sets, and
+        per iteration the restarts still active and those that repaired."""
+        calls = []
+        real_lloyd, real_repair = clustering_mod._lloyd, clustering_mod._repair_empty
+
+        def lloyd(points, inits):
+            calls.append({"mixed": points.ndim == 3, "active": [], "repairs": []})
+            return real_lloyd(points, inits)
+
+        def repair(points, assignment, centroids, d2, counts):
+            calls[-1]["active"].append(len(assignment))
+            calls[-1]["repairs"].append(int((counts == 0).any(axis=1).sum()))
+            return real_repair(points, assignment, centroids, d2, counts)
+
+        monkeypatch.setattr(clustering_mod, "_lloyd", lloyd)
+        monkeypatch.setattr(clustering_mod, "_repair_empty", repair)
+        return calls
+
+    @staticmethod
+    def batch(seed):
+        """(points, k, seed, extra inits) per set. Sets of one shape with 1, 2
+        and 3 distinct rows and k = 5 meet the all-duplicates draw at steps 1,
+        2 and 3 of one lockstep; others of that shape have other k; the
+        duplicate-heavy ones have other sizes."""
+        rng = np.random.default_rng(seed)
+        sets = []
+        for distinct, k in ((1, 5), (2, 5), (3, 5), (12, 5), (12, 2), (12, 4), (5, 4)):
+            rows = rng.integers(0, 2, size=(distinct, 3)) + rng.uniform(size=(distinct, 3))
+            points = rows[np.arange(12) % distinct]
+            assert len(np.unique(points, axis=0)) == distinct
+            sets.append((points, k, int(rng.integers(1 << 30)), []))
+        for points, k, s in duplicate_heavy_inputs(12, seed=seed + 1):
+            n, dim = points.shape
+            extra = [points[rng.integers(n, size=k)] + rng.uniform(size=(k, dim))
+                     for _ in range(int(rng.integers(0, 3)))]
+            sets.append((points, k, s, extra))
+        return sets
+
+    @pytest.mark.parametrize("budget", [None, 8 * 12 * 3 * 4], ids=["default", "four_per_group"])
+    def test_kmeans_batch_bit_equal(self, monkeypatch, budget):
+        if budget is not None:  # one set's ten restarts straddle groups of four
+            monkeypatch.setattr(clustering_mod, "LLOYD_BUFFER_BYTES", budget)
+        calls = self.spy(monkeypatch)
+        for seed in (30, 31, 32):
+            sets = self.batch(seed)
+            got = kmeans([p for p, *_ in sets], [k for _, k, *_ in sets],
+                         seed=[s for _, _, s, _ in sets], extra_inits=[e for *_, e in sets])
+            assert len(got) == len(sets)
+            for result, (points, k, s, extra) in zip(got, sets):
+                assert_same_kmeans(result, reference_kmeans(points, k, seed=s, extra_inits=extra))
+        assert any(call["mixed"] for call in calls)
+        assert any(max(call["repairs"]) > 1 for call in calls)
+        assert any(len(set(call["active"])) > 1 for call in calls)
+        if budget is not None:  # a full group of four holding two sets' restarts
+            assert any(call["mixed"] and call["active"][0] == 4 for call in calls)
+
+    def test_sse_curve_batch_bit_equal(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        sets = [(points[:10], s) for points, _, s, _ in self.batch(33)]
+        weights, _ = acceptance_fixture()
+        for sample, tokens in enumerate(acceptance_corpus(weights.config, samples=2)):
+            trace = _traced_prefix(weights, tokens[:5])
+            sets += [(extract_features(trace, layer, (1, 5)), 100 * sample + layer)
+                     for layer in range(weights.config.num_layers)]
+        got = sse_curve([points for points, _ in sets], seed=[s for _, s in sets])
+        assert len({len(curve) for curve in got}) > 2
+        for curve, (points, s) in zip(got, sets):
+            assert np.array_equal(curve, reference_sse_curve(points, seed=s))
+        assert any(call["mixed"] for call in calls)
+        assert any(max(call["repairs"]) > 1 for call in calls)
+
+    def test_batch_needs_one_entry_per_set(self):
+        sets = [np.zeros((3, 2)), np.ones((4, 2))]
+        with pytest.raises(ValidationError, match="per point set"):
+            kmeans(sets, [1], seed=[0, 1])
+        with pytest.raises(ValidationError, match="one seed per point set"):
+            sse_curve(sets, seed=[0])
+        assert kmeans([], [], seed=[]) == [] and sse_curve([], seed=[]) == []
+
+
 def choice_seeds(pairwise, k, rng):
     """k-means++ seed indices drawn with `rng.choice`, as `kmeans` first did."""
     n = len(pairwise)
@@ -463,8 +549,8 @@ def choice_seeds(pairwise, k, rng):
 
 class TestKMeansppDraw:
     """`_kmeanspp_seeds` re-derives `rng.choice(n, p=...)`: the same indices
-    and the same use of the random stream. A numpy release that changes
-    `choice` fails here."""
+    and the same use of each set's random stream, the sets of a batch drawing
+    in lockstep. A numpy release that changes `choice` fails here."""
 
     @pytest.mark.parametrize("kind", ["many_zero_distances", "single_nonzero_distance"])
     def test_same_indices_and_stream_as_rng_choice(self, kind):
@@ -478,16 +564,45 @@ class TestKMeansppDraw:
                 points = np.zeros((n, 2))
                 points[int(rng.integers(n))] = rng.uniform(0.5, 2.0, size=2)
             pairwise = clustering_mod._pairwise_sqdist(points)
-            for seed in range(5):
-                k = int(rng.integers(1, n + 1))
-                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-                for _ in range(3):  # consecutive restarts share one stream
-                    assert clustering_mod._kmeanspp_seeds(pairwise, k, ours) == choice_seeds(
-                        pairwise, k, theirs
+            ks = [int(rng.integers(1, n + 1)) for _ in range(5)]
+            ours = [np.random.default_rng(seed) for seed in range(5)]
+            theirs = [np.random.default_rng(seed) for seed in range(5)]
+            # five sets, one per seed, each with its own k; a set's consecutive
+            # restarts share its stream
+            draws = clustering_mod._kmeanspp_seeds([pairwise] * 5, ks, ours, 3)
+            for seed, k in enumerate(ks):
+                for restart in range(3):
+                    assert draws[seed][restart].tolist() == choice_seeds(
+                        pairwise, k, theirs[seed]
                     )
                     later_seeds += k - 1
-                assert ours.bit_generator.state == theirs.bit_generator.state
+                assert ours[seed].bit_generator.state == theirs[seed].bit_generator.state
         assert later_seeds > 1000
+
+    def test_sets_of_several_sizes_in_one_batch(self):
+        rng = np.random.default_rng(18)
+        sets = [rng.integers(0, 3, size=(n, 2)).astype(np.float64) for n in (5, 9, 5, 1, 9)]
+        pairwise = [clustering_mod._pairwise_sqdist(points) for points in sets]
+        ks = [4, 9, 2, 1, 6]
+        ours = [np.random.default_rng(seed) for seed in range(5)]
+        theirs = [np.random.default_rng(seed) for seed in range(5)]
+        draws = clustering_mod._kmeanspp_seeds(pairwise, ks, ours, 4)
+        for s, k in enumerate(ks):
+            assert draws[s].shape == (4, k)
+            for restart in range(4):
+                assert draws[s][restart].tolist() == choice_seeds(pairwise[s], k, theirs[s])
+            assert ours[s].bit_generator.state == theirs[s].bit_generator.state
+
+
+class TestPairwiseSqdist:
+    def test_equals_the_row_by_row_definition_and_is_symmetric(self):
+        rng = np.random.default_rng(19)
+        for n, dim in ((1, 3), (7, 1), (12, 25), (32, 517)):
+            points = rng.uniform(size=(n, dim)) * (rng.uniform(size=(n, dim)) < 0.3)
+            points[n // 2] = points[0]  # a duplicate row: an exact zero off the diagonal
+            got = clustering_mod._pairwise_sqdist(points)
+            assert np.array_equal(got, helpers.reference_pairwise_sqdist(points))
+            assert np.array_equal(got, got.T)
 
 
 class TestRepairEmpty:
@@ -496,12 +611,14 @@ class TestRepairEmpty:
 
     @staticmethod
     def repair(points, assignment, centroids):
+        """One restart's repair, run as a batch of one."""
         points = np.asarray(points, dtype=np.float64)
-        centroids = np.asarray(centroids, dtype=np.float64)
+        centroids = np.asarray(centroids, dtype=np.float64)[None]
         d2 = clustering_mod._sqdist(points, centroids)
-        assignment = np.asarray(assignment)
-        counts = np.bincount(assignment, minlength=len(centroids))
-        return clustering_mod._repair_empty(points, assignment, centroids, d2, counts)
+        assignment = np.asarray(assignment)[None]
+        counts = np.bincount(assignment[0], minlength=centroids.shape[1])[None]
+        got = clustering_mod._repair_empty(points, assignment, centroids, d2, counts)
+        return got[0][0], got[1][0]
 
     def test_equal_distances_go_to_lowest_index(self):
         assignment, centroids = self.repair([[5.0], [1.0], [-1.0]], [1, 0, 0], [[0.0], [5.0], [50.0]])
@@ -526,10 +643,10 @@ class TestRepairEmpty:
 
     def test_full_clusters_returned_unchanged(self):
         points = np.array([[0.0], [1.0]])
-        assignment = np.array([0, 1])
-        centroids = np.array([[0.0], [1.0]])
+        assignment = np.array([[0, 1], [1, 0]])
+        centroids = np.array([[[0.0], [1.0]], [[1.0], [0.0]]])
         got = clustering_mod._repair_empty(
-            points, assignment, centroids, np.zeros((2, 2)), np.array([1, 1])
+            points, assignment, centroids, np.zeros((2, 2, 2)), np.array([[1, 1], [1, 1]])
         )
         assert got[0] is assignment and got[1] is centroids
 
@@ -541,6 +658,46 @@ class TestRepairEmpty:
         centroids = [[float(c)] for c in range(k)]
         with pytest.raises(ContractError, match="no donor point available"):
             self.repair(points, assignment, centroids)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared_points", "own_points"])
+    def test_batch_equals_the_per_restart_reference(self, stacked):
+        # Restarts with and without empty clusters, several empties per
+        # restart, and duplicate points, so own distances tie.
+        rng = np.random.default_rng(20)
+        repaired = 0
+        for _ in range(40):
+            restarts, n = int(rng.integers(1, 7)), int(rng.integers(2, 12))
+            k = int(rng.integers(2, n + 1))
+            dim = int(rng.integers(1, 4))
+            shape = (restarts, n, dim) if stacked else (n, dim)
+            points = rng.integers(0, 3, size=shape).astype(np.float64)
+            centroids = rng.uniform(-1, 4, size=(restarts, k, dim))
+            d2 = clustering_mod._sqdist(points, centroids)
+            assignment = np.minimum(rng.integers(0, k, size=(restarts, n)), d2.argmin(axis=2))
+            counts = np.stack([np.bincount(a, minlength=k) for a in assignment])
+            got_assignment, got_centroids = clustering_mod._repair_empty(
+                points, assignment, centroids, d2, counts
+            )
+            for r in range(restarts):
+                own = points[r] if stacked else points
+                want = helpers._reference_repair_empty(own, assignment[r], centroids[r], d2[r])
+                assert np.array_equal(got_assignment[r], want[0])
+                assert np.array_equal(got_centroids[r], want[1])
+            repaired += int((counts == 0).any(axis=1).sum())
+        assert repaired > 40
+
+    def test_no_donor_in_a_batch_raises_like_the_reference(self):
+        # Fewer points than clusters: every restart runs out of donors.
+        points = np.array([[0.0], [1.0], [2.0]])
+        assignment = np.array([[0, 0, 1], [2, 2, 2], [0, 1, 3]])
+        centroids = np.arange(12, dtype=np.float64).reshape(3, 4, 1)
+        d2 = clustering_mod._sqdist(points, centroids)
+        counts = np.stack([np.bincount(a, minlength=4) for a in assignment])
+        for r in range(3):
+            with pytest.raises(ContractError, match="no donor point available"):
+                helpers._reference_repair_empty(points, assignment[r], centroids[r], d2[r])
+        with pytest.raises(ContractError, match="no donor point available"):
+            clustering_mod._repair_empty(points, assignment, centroids, d2, counts)
 
 
 class TestSseCurve:
@@ -613,6 +770,24 @@ class TestChooseRepresentatives:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ContractError):
             choose_representatives(np.zeros((2, 2)), np.array([0, 0]), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_per_cluster_reference(self, dtype):
+        # Small integer features and centroids, so members often tie.
+        rng = np.random.default_rng(21)
+        ties = 0
+        for _ in range(80):
+            n, dim = int(rng.integers(1, 33)), int(rng.integers(1, 5))
+            k = int(rng.integers(1, n + 1))
+            features = rng.integers(0, 3, size=(n, dim)).astype(dtype)
+            assignment = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+            centroids = rng.integers(0, 3, size=(k, dim)) + rng.choice([0.0, 0.5], size=(k, 1))
+            got = choose_representatives(features, assignment, centroids)
+            assert got == helpers.reference_choose_representatives(features, assignment, centroids)
+            for c in range(k):
+                d2 = ((features - centroids[c]) ** 2).sum(axis=1)[assignment == c]
+                ties += int((d2 == d2.min()).sum() > 1)
+        assert ties > 40
 
 
 class TestCorrelationMatrix:

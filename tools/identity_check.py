@@ -3,9 +3,9 @@
 Usage: python tools/identity_check.py SRC_DIR OUT_DIR
 
 Runs every command, and one Python step that writes a redundant weight
-file, against the package under SRC_DIR (put first on PYTHONPATH, with
-PYTHONDONTWRITEBYTECODE=1 so the tree stays clean) in a temporary
-directory, and writes OUT_DIR/SHA256SUMS: one `sha256  artifact`
+file (which is then calibrated too), against the package under SRC_DIR
+(put first on PYTHONPATH, with PYTHONDONTWRITEBYTECODE=1 so the tree stays
+clean) in a temporary directory, and writes OUT_DIR/SHA256SUMS: one `sha256  artifact`
 line per artifact. Wall-clock fields are removed before hashing (`timing` of
 the generate JSON, the timed columns of the bench CSV). Two trees compute
 the same thing when their SHA256SUMS files are equal:
@@ -109,6 +109,13 @@ def run_pipeline(src: Path, work: Path) -> dict[str, bytes]:
         keep(f"w{window}_elbow.csv")
     _python(src, work, "make_redundant", "-c", REDUNDANT)
     keep("redundant.bin")
+    # Heads that share wq/wk give duplicate features: this calibration meets
+    # the all-duplicates k-means++ draw and repairs empty clusters, as the
+    # benchmark's does; the calibrations above do neither.
+    _chai(src, work, "calibrate", "--weights", "redundant.bin", "--corpus", "corpus.json",
+          "--out", "redundant_w5.json")
+    keep("redundant_w5.json")
+    keep("redundant_w5_elbow.csv")
 
     for name, prompt, steps, profile, extra in INPUTS:
         for mode in MODES:
