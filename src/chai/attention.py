@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 
 import numpy as np
 
@@ -188,6 +189,7 @@ class AttentionTrace:
 
 
 TRACE_COLUMNS = ("layer", "head", "step", "position", "probability")
+TRACE_DTYPE = [(c, np.int64) for c in TRACE_COLUMNS[:4]] + [("probability", np.float64)]
 
 
 def export_trace_csv(trace: AttentionTrace, path) -> None:
@@ -202,78 +204,106 @@ def export_trace_csv(trace: AttentionTrace, path) -> None:
 
 
 def load_trace_csv(path) -> AttentionTrace:
-    """Read a trace CSV written by `export_trace_csv`. A file without rows, a
-    missing column or head, a non-numeric field, a negative layer or head,
-    positions other than 0..n-1, rows of unequal length at one (layer,
-    step), a layer whose steps are not 1, 2, ... with rows one position
-    longer each step and step 1's as long as the first layer's, layers
-    covering different steps, or a row that is not a probability row (the
-    check `AttentionTrace.record` makes) raise ValidationError."""
+    """Read a trace CSV whose header names `TRACE_COLUMNS`, in any order and
+    among others, with one `np.loadtxt`, and check its structure with array
+    operations on the rows sorted by (layer, step, head, position). A missing
+    column or row, a field `int` or `float` rejects, a negative layer or head
+    and each structural fault README's "Trace CSV" lists raise
+    ValidationError; so do ids past ASCII-decimal int64 and probabilities
+    with `_` or non-ASCII digits, which only Python's parsers take."""
 
     def malformed(problem: str) -> ValidationError:
         return ValidationError(f"trace {path}: {problem}")
 
-    rows: dict[tuple[int, int, int], list[tuple[int, float]]] = {}
-    num_layers = num_heads = 0
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in TRACE_COLUMNS if c not in (reader.fieldnames or ())]
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty body is reported as having no rows
+        header = {name: i for i, name in enumerate(next(csv.reader(fh), ()))}  # last one wins
+        missing = [c for c in TRACE_COLUMNS if c not in header]
         if missing:
             raise ValidationError(f"trace {path} has no {', '.join(missing)} column")
-        for record in reader:
-            try:
-                layer, head, step, position = (int(record[c]) for c in TRACE_COLUMNS[:4])
-                probability = float(record["probability"])
-                if min(layer, head) < 0:
-                    raise ValueError(f"negative layer {layer} or head {head}")
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"trace {path} line {reader.line_num}: {exc}") from None
-            rows.setdefault((layer, head, step), []).append((position, probability))
-            num_layers, num_heads = max(num_layers, layer + 1), max(num_heads, head + 1)
-    if not rows:
+        columns = [header[c] for c in TRACE_COLUMNS]
+        try:
+            table = np.loadtxt(fh, TRACE_DTYPE, comments=None, delimiter=",", quotechar='"',
+                               usecols=columns, ndmin=1)
+            if (table["layer"] < 0).any() or (table["head"] < 0).any():
+                raise ValueError("negative layer or head")
+        except ValueError as exc:  # name the line, as a per-field parse does
+            line = _first_bad_line(path, columns)
+            raise (ValidationError(f"trace {path} {line}") if line else malformed(exc)) from None
+    if not table.size:
         raise ValidationError(f"trace {path} has no rows")
-    blocks: dict[tuple[int, int], np.ndarray] = {}  # (layer, step) -> (heads, positions)
-    following: dict[int, tuple[int, int]] = {}  # layer -> (next step, its row length)
-    first_length = 0  # of the first layer's step-1 rows
-    for layer, step in sorted({(layer, step) for layer, _, step in rows}):
-        per_head = []
-        for head in range(num_heads):
-            if (layer, head, step) not in rows:
-                raise malformed(f"layer {layer}, step {step} has no head {head}")
-            entries = sorted(rows[(layer, head, step)])
-            if [position for position, _ in entries] != list(range(len(entries))):
-                raise malformed(
-                    f"positions of layer {layer}, head {head}, step {step} "
-                    f"are not 0..{len(entries) - 1}"
-                )
-            per_head.append([prob for _, prob in entries])
-        length = len(per_head[0])
-        if any(len(row) != length for row in per_head):
-            raise malformed(f"rows of layer {layer}, step {step} differ in length")
-        # every layer starts at step 1, with rows as long as the first layer's
-        want_step, want_length = following.get(layer, (1, first_length or length - step + 1))
-        if (step, length) != (want_step, want_length):
-            raise malformed(
-                f"layer {layer} has step {step} of {length} positions where step "
-                f"{want_step} of {want_length} positions should come next"
-            )
-        first_length = first_length or length
-        following[layer] = (step + 1, length + 1)
-        blocks[(layer, step)] = np.array(per_head, dtype=np.float32)
 
-    def span(layer: int) -> str:
-        return f"steps 1..{following[layer][0] - 1}" if layer in following else "no steps"
+    def starts(*columns):  # where each run of equal values in `columns` starts
+        return np.flatnonzero(np.r_[True, np.any([c[1:] != c[:-1] for c in columns], axis=0)])
 
-    for layer in range(1, num_layers):
-        if following.get(layer) != following.get(0):
-            raise malformed(f"layer {layer} has {span(layer)} where layer 0 has {span(0)}")
-    trace = AttentionTrace(num_layers, num_heads, following[0][0] - 1, first_length - 1)
-    try:
-        for (layer, step), block in blocks.items():
-            trace.record(layer, first_length + step - 2, slice(None), block[:, None, :])
+    def ranks(run_starts, n: int):  # each of n items' index in its run
+        return np.arange(n) - np.repeat(run_starts, np.diff(run_starts, append=n))
+
+    # a run is one head's row, a key the runs of one (layer, step), led by heads 0..present-1
+    order = np.lexsort([table[c] for c in ("position", "head", "step", "layer")])
+    layer, head, step, position = (table[c][order] for c in TRACE_COLUMNS[:4])
+    runs = starts(layer, step, head)
+    keys = starts(layer[runs], step[runs])
+    lengths = np.diff(runs, append=len(order))
+    unsorted = np.logical_or.reduceat(position != ranks(runs, len(order)), runs)
+    present = np.add.reduceat(head[runs] == ranks(keys, len(runs)), keys)
+    num_heads = int(head.max()) + 1
+    broken = (present < num_heads) | np.logical_or.reduceat(unsorted, keys)
+    broken |= np.minimum.reduceat(lengths, keys) != np.maximum.reduceat(lengths, keys)
+    # each layer's steps are 1, 2, ..., its rows one position longer each
+    # step and step 1's as long as the first layer's
+    key_layer, key_step, length = layer[runs[keys]], step[runs[keys]], lengths[keys]
+    firsts = starts(key_layer)
+    nth = ranks(firsts, len(keys))
+    faults = np.flatnonzero(broken | (key_step != nth + 1) | (length != length[0] + nth))
+    if faults.size:  # the first key at fault: its heads in order, then lengths, then step
+        k = faults[0]
+        at = f"layer {key_layer[k]}, step {key_step[k]}"
+        bad = np.flatnonzero(unsorted[keys[k] : keys[k] + present[k]])  # a rank is a head
+        if bad.size:
+            raise malformed(f"positions of layer {key_layer[k]}, head {bad[0]}, step "
+                            f"{key_step[k]} are not 0..{lengths[keys[k] + bad[0]] - 1}")
+        if broken[k]:
+            raise malformed(f"{at} has no head {present[k]}" if present[k] < num_heads
+                            else f"rows of {at} differ in length")
+        want = int(length[0]) + nth[k] if k else int(length[k]) - int(key_step[k]) + 1
+        raise malformed(f"layer {key_layer[k]} has step {key_step[k]} of {length[k]} positions "
+                        f"where step {nth[k] + 1} of {want} positions should come next")
+    counts = dict(zip(key_layer[firsts].tolist(), np.diff(firsts, append=len(keys)).tolist()))
+    # every layer 0..max has as many steps as layer 0
+    for other in sorted({*counts, *range(1, len(counts) + 1)}):  # and the first without rows
+        if 0 < other <= key_layer[-1] and counts.get(other) != counts.get(0):
+            span, span_0 = (f"steps 1..{counts[i]}" if i in counts else "no steps"
+                            for i in (other, 0))
+            raise malformed(f"layer {other} has {span} where layer 0 has {span_0}")
+    trace = AttentionTrace(len(counts), num_heads, counts[0], int(length[0]) - 1)
+    with np.errstate(over="ignore"):  # past float32 is inf, which record rejects
+        trace.rows[layer, head, step - 1, position] = table["probability"][order]
+    try:  # record checks each (layer, step)'s rows in order, storing them where they are
+        for i, s in zip(key_layer.tolist(), key_step.tolist()):
+            trace.record(i, trace.base_position + s - 1, slice(None), trace.rows[i, :, s - 1 : s])
     except ContractError as exc:
         raise malformed(str(exc)) from None
     return trace
+
+
+def _first_bad_line(path, columns) -> str | None:
+    """'line N: <error>' for the first row whose `columns` `int` and `float`
+    reject (a missing field is None) or whose layer or head is negative;
+    None when every row parses."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header
+        for fields in filter(None, reader):  # blank lines hold no row
+            values = [fields[i] if i < len(fields) else None for i in columns]
+            try:
+                layer, head, _, _ = (int(value) for value in values[:4])
+                float(values[4])
+                if min(layer, head) < 0:
+                    raise ValueError(f"negative layer {layer} or head {head}")
+            except (TypeError, ValueError) as exc:
+                return f"line {reader.line_num}: {exc}"
+    return None
 
 
 def _head_scale(head_dim: int) -> np.float32:

@@ -363,6 +363,10 @@ def cmd_analyze(args) -> int:
     )
     from .errors import ValidationError
 
+    if args.what in ("stability", "histogram"):  # checked before a long trace is read
+        if args.profile is None:
+            raise ValidationError(f"--what {args.what} requires --profile")
+        profile = _load_profile(args.profile)
     trace = load_trace_csv(_require_file(args.trace, "trace file"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -398,9 +402,6 @@ def cmd_analyze(args) -> int:
         print(f"wrote {path}")
         return 0
 
-    if args.profile is None:
-        raise ValidationError(f"--what {args.what} requires --profile")
-    profile = _load_profile(args.profile)
     profile.require_shape(trace.num_layers, trace.num_heads, "trace")
 
     if args.what == "stability":

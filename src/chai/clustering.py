@@ -493,15 +493,17 @@ def membership_stability(trace: AttentionTrace, profile, from_step: int, to_step
 
     first_needed = from_step - 1 if from_step - 1 >= window else from_step
     needed = range(first_needed, to_step + 1)
-    labels = np.empty((trace.num_layers, len(needed), trace.num_heads), dtype=np.intp)
-    for layer in range(trace.num_layers):
-        k = profile.cluster_counts[layer]
-        for i, step in enumerate(needed):
-            features = extract_features(trace, layer, (step - window + 1, step))
-            seed = derived_seed(profile.seed, layer, step)
-            assignment = kmeans(features, k, seed=seed).assignment
-            _, lowest, cluster = np.unique(assignment, return_index=True, return_inverse=True)
-            labels[layer, i] = lowest[cluster]  # the lowest head index in each head's cluster
+    windows = [(layer, step) for layer in range(trace.num_layers) for step in needed]
+    results = kmeans(  # every (layer, step) window in one batch
+        [extract_features(trace, layer, (step - window + 1, step)) for layer, step in windows],
+        [profile.cluster_counts[layer] for layer, _ in windows],
+        seed=[derived_seed(profile.seed, layer, step) for layer, step in windows],
+    )
+    labels = np.empty((len(windows), trace.num_heads), dtype=np.intp)
+    for i, result in enumerate(results):
+        _, lowest, cluster = np.unique(result.assignment, return_index=True, return_inverse=True)
+        labels[i] = lowest[cluster]  # the lowest head index in each head's cluster
+    labels = labels.reshape(trace.num_layers, len(needed), trace.num_heads)
 
     counts = (labels[:, 1:] != labels[:, :-1]).sum(axis=2)
     if first_needed == from_step:  # nothing to compare the first step with

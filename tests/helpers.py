@@ -1,17 +1,20 @@
 """Shared fixtures for the test suite: tiny configs and planted-redundancy models."""
 
+import csv
 import json
 import struct
 
 import numpy as np
 
-from chai.attention import PlanTensors, _head_scale, _project_heads, _to_cache_layout
+from chai.attention import (
+    TRACE_COLUMNS, AttentionTrace, PlanTensors, _head_scale, _project_heads, _to_cache_layout,
+)
 from chai.clustering import (
     DEFAULT_RESTARTS, MAX_ITERATIONS, RELATIVE_TOL, KMeansResult, derived_seed, extract_features,
     kmeans,
 )
 from chai.engine import CalibrationProfile
-from chai.errors import ContractError
+from chai.errors import ContractError, ValidationError
 from chai.kernels import apply_rope_heads, matmul
 from chai.model import ModelConfig, Weights, init_random, make_redundant
 from chai.plan import ClusterPlan, HeadLayout, LayerPlan
@@ -244,6 +247,79 @@ def reference_membership_changes(trace, profile, from_step, to_step):
                 now = memberships[(layer, step)]
                 counts[layer, i] = sum(a != b for a, b in zip(before, now))
     return counts
+
+
+def reference_load_trace_csv(path) -> AttentionTrace:
+    """`attention.load_trace_csv` as first written: a `csv.DictReader` pass
+    that parses every row with `int`/`float` into a dict of per-(layer,
+    head, step) lists, then per-(layer, step) checks in Python. The
+    differential oracle for the columnar loader: same rows, or the same
+    message."""
+
+    def malformed(problem: str) -> ValidationError:
+        return ValidationError(f"trace {path}: {problem}")
+
+    rows: dict[tuple[int, int, int], list[tuple[int, float]]] = {}
+    num_layers = num_heads = 0
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in TRACE_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValidationError(f"trace {path} has no {', '.join(missing)} column")
+        for record in reader:
+            try:
+                layer, head, step, position = (int(record[c]) for c in TRACE_COLUMNS[:4])
+                probability = float(record["probability"])
+                if min(layer, head) < 0:
+                    raise ValueError(f"negative layer {layer} or head {head}")
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"trace {path} line {reader.line_num}: {exc}") from None
+            rows.setdefault((layer, head, step), []).append((position, probability))
+            num_layers, num_heads = max(num_layers, layer + 1), max(num_heads, head + 1)
+    if not rows:
+        raise ValidationError(f"trace {path} has no rows")
+    blocks: dict[tuple[int, int], np.ndarray] = {}  # (layer, step) -> (heads, positions)
+    following: dict[int, tuple[int, int]] = {}  # layer -> (next step, its row length)
+    first_length = 0  # of the first layer's step-1 rows
+    for layer, step in sorted({(layer, step) for layer, _, step in rows}):
+        per_head = []
+        for head in range(num_heads):
+            if (layer, head, step) not in rows:
+                raise malformed(f"layer {layer}, step {step} has no head {head}")
+            entries = sorted(rows[(layer, head, step)])
+            if [position for position, _ in entries] != list(range(len(entries))):
+                raise malformed(
+                    f"positions of layer {layer}, head {head}, step {step} "
+                    f"are not 0..{len(entries) - 1}"
+                )
+            per_head.append([prob for _, prob in entries])
+        length = len(per_head[0])
+        if any(len(row) != length for row in per_head):
+            raise malformed(f"rows of layer {layer}, step {step} differ in length")
+        # every layer starts at step 1, with rows as long as the first layer's
+        want_step, want_length = following.get(layer, (1, first_length or length - step + 1))
+        if (step, length) != (want_step, want_length):
+            raise malformed(
+                f"layer {layer} has step {step} of {length} positions where step "
+                f"{want_step} of {want_length} positions should come next"
+            )
+        first_length = first_length or length
+        following[layer] = (step + 1, length + 1)
+        blocks[(layer, step)] = np.array(per_head, dtype=np.float32)
+
+    def span(layer: int) -> str:
+        return f"steps 1..{following[layer][0] - 1}" if layer in following else "no steps"
+
+    for layer in range(1, num_layers):
+        if following.get(layer) != following.get(0):
+            raise malformed(f"layer {layer} has {span(layer)} where layer 0 has {span(0)}")
+    trace = AttentionTrace(num_layers, num_heads, following[0][0] - 1, first_length - 1)
+    try:
+        for (layer, step), block in blocks.items():
+            trace.record(layer, first_length + step - 2, slice(None), block[:, None, :])
+    except ContractError as exc:
+        raise malformed(str(exc)) from None
+    return trace
 
 
 def reference_kmeans(points, k, seed=0, restarts=DEFAULT_RESTARTS, extra_inits=None):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -593,6 +594,14 @@ class TestTrace:
         assert loaded.recorded == trace.recorded == [4, 4]
         assert loaded.base_position == trace.base_position == 0
         assert loaded.rows.tobytes() == trace.rows.tobytes()
+
+    def test_loader_rejects_probability_past_float32_without_a_warning(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("layer,head,step,position,probability\n0,0,1,0,1e39\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a cast warning would be a second stderr line
+            with pytest.raises(ValidationError, match="step 1 has probability inf outside"):
+                load_trace_csv(path)
 
     def test_loader_rejects_layers_of_different_prompt_lengths(self, tmp_path):
         path = tmp_path / "trace.csv"

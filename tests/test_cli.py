@@ -394,6 +394,24 @@ class TestAnalyze:
             "--out", str(tmp_path / "out"),
         ]) == 2
 
+    @pytest.mark.parametrize("what", ["stability", "histogram"])
+    @pytest.mark.parametrize("profile", [None, "malformed"])
+    def test_profile_is_checked_before_the_trace_is_read(
+        self, tmp_path, capsys, monkeypatch, what, profile
+    ):
+        def unread(path):
+            raise AssertionError(f"read the trace {path} before the profile")
+
+        monkeypatch.setattr("chai.attention.load_trace_csv", unread)
+        argv = ["analyze", "--trace", str(tmp_path / "trace.csv"), "--what", what,
+                "--out", str(tmp_path / "out")]
+        if profile:
+            (tmp_path / "profile.json").write_text("{")
+            argv += ["--profile", str(tmp_path / "profile.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert ("profile file" if profile else f"--what {what} requires --profile") in err
+
     def test_histogram_from_profile(self, tmp_path):
         trace_path, ppath = self._trace_from_fixture(tmp_path)
         assert main([

@@ -86,6 +86,18 @@ def _bench_columns(path: Path) -> bytes:
     return out.getvalue().encode()
 
 
+def _variant_trace(source: Path, target: Path) -> None:
+    """`source`'s rows as (probability, step, note, layer, position, head),
+    one LF-terminated line each."""
+    with open(source, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(target, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for index, (layer, head, step, position, probability) in enumerate(rows):
+            note = "note" if index == 0 else f"row {index}"
+            writer.writerow([probability, step, note, layer, position, head])
+
+
 def run_pipeline(src: Path, work: Path) -> dict[str, bytes]:
     """Every artifact's name and the bytes that are compared."""
     artifacts: dict[str, bytes] = {}
@@ -166,6 +178,13 @@ def run_pipeline(src: Path, work: Path) -> dict[str, bytes]:
             _chai(src, work, "analyze", "--trace", trace, "--what", what,
                   "--profile", "w5.json", "--out", out_dir)
             keep(f"{out_dir}/{written}")
+    # a valid trace in a grammar export does not write: LF line endings,
+    # permuted columns and an extra column
+    _variant_trace(work / "trace_MHA.csv", work / "trace_variant.csv")
+    for what in ("correlation", "stability"):
+        _chai(src, work, "analyze", "--trace", "trace_variant.csv", "--what", what,
+              "--profile", "w5.json", "--out", "analysis_variant")
+        keep(f"analysis_variant/{outputs[what]}")
     return artifacts
 
 
