@@ -215,21 +215,24 @@ def load_trace_csv(path) -> AttentionTrace:
     def malformed(problem: str) -> ValidationError:
         return ValidationError(f"trace {path}: {problem}")
 
-    with open(path) as fh, warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # an empty body is reported as having no rows
-        header = {name: i for i, name in enumerate(next(csv.reader(fh), ()))}  # last one wins
-        missing = [c for c in TRACE_COLUMNS if c not in header]
-        if missing:
-            raise ValidationError(f"trace {path} has no {', '.join(missing)} column")
-        columns = [header[c] for c in TRACE_COLUMNS]
-        try:
-            table = np.loadtxt(fh, TRACE_DTYPE, comments=None, delimiter=",", quotechar='"',
-                               usecols=columns, ndmin=1)
-            if (table["layer"] < 0).any() or (table["head"] < 0).any():
-                raise ValueError("negative layer or head")
-        except ValueError as exc:  # name the line, as a per-field parse does
-            line = _first_bad_line(path, columns)
-            raise (ValidationError(f"trace {path} {line}") if line else malformed(exc)) from None
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty body is reported as having no rows
+            header = {name: i for i, name in enumerate(next(csv.reader(fh), ()))}  # last one wins
+            missing = [c for c in TRACE_COLUMNS if c not in header]
+            if missing:
+                raise ValidationError(f"trace {path} has no {', '.join(missing)} column")
+            columns = [header[c] for c in TRACE_COLUMNS]
+            try:
+                table = np.loadtxt(fh, TRACE_DTYPE, comments=None, delimiter=",", quotechar='"',
+                                   usecols=columns, ndmin=1)
+                if (table["layer"] < 0).any() or (table["head"] < 0).any():
+                    raise ValueError("negative layer or head")
+            except ValueError as exc:  # name the line, as a per-field parse does
+                line = _first_bad_line(path, columns)
+                raise (ValidationError(f"trace {path} {line}") if line else malformed(exc)) from None
+    except UnicodeDecodeError as exc:  # raised by any read, the re-read of a bad line too
+        raise malformed(f"is not UTF-8 text: {exc}") from None
     if not table.size:
         raise ValidationError(f"trace {path} has no rows")
 
@@ -291,7 +294,7 @@ def _first_bad_line(path, columns) -> str | None:
     """'line N: <error>' for the first row whose `columns` `int` and `float`
     reject (a missing field is None) or whose layer or head is negative;
     None when every row parses."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)  # the header
         for fields in filter(None, reader):  # blank lines hold no row

@@ -215,9 +215,11 @@ def cmd_calibrate(args) -> int:
     weights = load_weights(_require_file(args.weights, "weights file"))
     corpus_path = _require_file(args.corpus, "corpus file")
     try:
-        corpus = json.loads(corpus_path.read_text())
+        corpus = json.loads(corpus_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"corpus file {corpus_path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"corpus file {corpus_path} is not UTF-8 text: {exc}")
     if not isinstance(corpus, list) or not all(isinstance(s, list) for s in corpus):
         raise ValidationError(f"corpus file {corpus_path} must hold a list of token-id lists")
 
@@ -243,7 +245,8 @@ def _load_profile(path):
     path = _require_file(path, "profile file")
     try:
         return CalibrationProfile.load(path)
-    except (json.JSONDecodeError, KeyError, TypeError, ContractError, ValidationError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ContractError,
+            ValidationError) as exc:
         raise ValidationError(f"profile file {path} is malformed: {exc}")
 
 

@@ -10,13 +10,17 @@ deterministic given (input order, seed).
 
 k-means clusters a batch of independent point sets in one call, each set
 with its own cluster count, seed and extra inits (one set is a batch of
-one), with no Python loop per cluster or per restart iteration. One pairwise
-distance matrix per set serves every restart's seeding (and every count of
-an `sse_curve`, whose batch advances every set's curve one count at a
-time). Each weighted k-means++ draw is `rng.choice`'s own cumulative-sum
-search with one `rng.random()`, without its argument checks; a set's draws
+one), with no Python loop per cluster or per restart iteration. Seeding is
+separate from Lloyd's iterations: `kmeans` seeds its batch in one k-means++
+pass, and `sse_curve` seeds every (set, cluster count) pair of its batch in
+one pass before its count loop, each pair from a fresh generator of its
+set's seed, as a lone `kmeans` call at that count would; the count loop then
+runs only Lloyd batches, each count warm-started from the last. One pairwise
+distance matrix per set serves every restart and every count of that set.
+Each weighted k-means++ draw is `rng.choice`'s own cumulative-sum search
+with one `rng.random()`, without its argument checks; a draw set's draws
 stay sequential in its own generator, so its random stream is used exactly
-as before, but draw j of every set of one size is one array operation.
+as before, but draw j of every draw set of one size is one array operation.
 Lloyd's iterations run the restarts of every set of one shape as one
 (R, k, dim) batch, each restart with its owner set's points and stopping on
 its own SSE test; the restarts go in groups whose (R, n, dim) float64
@@ -116,7 +120,8 @@ def _kmeans_batch(point_sets, ks, seeds, restarts, extra_inits) -> list[KMeansRe
             raise ContractError("kmeans has no initialization to run (restarts=0, no extra_inits)")
         extras.append(inits)
     pairwise = [_pairwise_sqdist(np.asarray(points, dtype=np.float64)) for points in sets]
-    return _kmeans_sets(sets, ks, seeds, restarts, extras, pairwise)
+    draws = _kmeanspp_seeds(pairwise, ks, [np.random.default_rng(s) for s in seeds], restarts)
+    return _kmeans_sets(sets, draws, extras)
 
 
 def _checked_points(points) -> np.ndarray:
@@ -133,23 +138,22 @@ def _checked_points(points) -> np.ndarray:
     return points
 
 
-def _kmeans_sets(sets, ks, seeds, restarts, extras, pairwise) -> list[KMeansResult]:
-    """The k-means of checked point sets, each with its own count, seed,
-    extra inits and float64 pairwise distances, in one batch.
+def _kmeans_sets(sets, draws, extras) -> list[KMeansResult]:
+    """The k-means of checked point sets in one batch, each set with its
+    (restarts, k) k-means++ seed indices and its extra inits.
 
-    Every set's k-means++ draws run in lockstep. Then the restarts of all
-    sets of one shape, each set's draws before its extra inits, go through
-    Lloyd's iterations in groups that fit LLOYD_BUFFER_BYTES, and each set
-    keeps its first restart of least SSE.
+    The restarts of all sets of one shape, each set's seeded restarts before
+    its extra inits, go through Lloyd's iterations in groups that fit
+    LLOYD_BUFFER_BYTES, and each set keeps its first restart of least SSE.
     """
-    draws = _kmeanspp_seeds(pairwise, ks, [np.random.default_rng(s) for s in seeds], restarts)
+    ks = [draw.shape[1] for draw in draws]
     shapes = [(points.shape, k) for points, k in zip(sets, ks)]
     best: list[KMeansResult | None] = [None] * len(sets)
     widened = (None, None)  # the set last widened to float64, and its points
     for shape in dict.fromkeys(shapes):
         (n, dim), k = shape
         runs = [(s, i) for s in range(len(sets)) if shapes[s] == shape
-                for i in range(restarts + len(extras[s]))]
+                for i in range(len(draws[s]) + len(extras[s]))]
         group = max(1, LLOYD_BUFFER_BYTES // max(8 * n * dim, 1))
         for lo in range(0, len(runs), group):
             chunk = runs[lo : lo + group]
@@ -162,7 +166,7 @@ def _kmeans_sets(sets, ks, seeds, restarts, extras, pairwise) -> list[KMeansResu
             else:
                 points = own = np.array([sets[s] for s in owners], dtype=np.float64)
             inits = np.stack([
-                own[j][draws[s][i]] if i < restarts else extras[s][i - restarts]
+                own[j][draws[s][i]] if i < len(draws[s]) else extras[s][i - len(draws[s])]
                 for j, (s, i) in enumerate(chunk)
             ])
             assignment, centroids, sse = _lloyd(points, inits)
@@ -184,31 +188,36 @@ def _pairwise_sqdist(points: np.ndarray) -> np.ndarray:
     return pairwise
 
 
-def _kmeanspp_seeds(pairwise, ks, rngs, restarts: int) -> list[np.ndarray]:
-    """Each set's k-means++ seed indices for `restarts` restarts, as a
-    (restarts, k) array, read from its (n, n) pairwise distances.
+def _kmeanspp_seeds(pairwise, ks, rngs, restarts: int, owners=None) -> list[np.ndarray]:
+    """Each draw set's k-means++ seed indices for `restarts` restarts, as a
+    (restarts, k) array, read from its (n, n) pairwise distances: draw set s
+    reads `pairwise[owners[s]]`, by default `pairwise[s]`. Draw sets that
+    share a matrix (the counts of one `sse_curve` set) read its one copy.
 
-    Each set's generator is used as `rng.choice(n, p=d2 / total)` would use
-    it, restart after restart: the same cumulative sum and normalization and
-    one `rng.random()` per weighted draw. Sets of one size draw in lockstep,
-    draw j of every such set being one array operation; each row's sum and
-    cumulative sum has the bits of its own 1-D call, and counting the cdf
-    entries at most u is `searchsorted(u, side="right")` on a non-decreasing
-    cdf.
+    Each draw set's generator is used as `rng.choice(n, p=d2 / total)` would
+    use it, restart after restart: the same cumulative sum and normalization
+    and one `rng.random()` per weighted draw. Draw sets of one size draw in
+    lockstep, draw j of every such set being one array operation; each row's
+    sum and cumulative sum has the bits of its own 1-D call, and counting the
+    cdf entries at most u is `searchsorted(u, side="right")` on a
+    non-decreasing cdf.
     """
-    draws = [np.empty((restarts, k), dtype=np.intp) for k in ks]
+    owners = range(len(ks)) if owners is None else owners
+    draws: list[np.ndarray | None] = [None] * len(ks)
     by_size: dict[int, list[int]] = {}
-    for s, matrix in enumerate(pairwise):
-        by_size.setdefault(len(matrix), []).append(s)
+    for s, owner in enumerate(owners):
+        by_size.setdefault(len(pairwise[owner]), []).append(s)
     for n, members in by_size.items():
-        stack = np.stack([pairwise[s] for s in members])
+        shared = {owner: i for i, owner in enumerate(dict.fromkeys(owners[s] for s in members))}
+        stack = np.stack([pairwise[owner] for owner in shared])
+        matrix = np.array([shared[owners[s]] for s in members])  # each member's stack row
         counts = np.array([ks[s] for s in members])
         gens = [rngs[s] for s in members]
         out = np.empty((len(members), restarts, counts.max()), dtype=np.intp)
         for r in range(restarts):
             out[:, r, 0] = [g.integers(n) for g in gens]
             live = np.flatnonzero(counts > 1)  # the sets still drawing
-            d2 = stack[live, out[live, r, 0]]
+            d2 = stack[matrix[live], out[live, r, 0]]
             for j in range(1, counts.max()):
                 keep = counts[live] > j
                 if not keep.all():
@@ -226,7 +235,7 @@ def _kmeanspp_seeds(pairwise, ks, rngs, restarts: int) -> list[np.ndarray]:
                 cdf /= cdf[:, -1:]
                 chosen = (cdf <= u[:, None]).sum(axis=1)
                 out[live, r, j] = chosen
-                d2 = np.minimum(d2, stack[live, chosen])
+                d2 = np.minimum(d2, stack[matrix[live], chosen])
         for t, s in enumerate(members):
             draws[s] = out[t, :, : ks[s]]
     return draws
@@ -373,7 +382,8 @@ def sse_curve(points, seed=0):
 
     Each count's restart pool is warm-started by splitting the previous
     solution, so the curve is non-increasing by construction. Every count's
-    k-means shares one pairwise distance matrix.
+    k-means++ seeds are drawn in one pass before the first count's Lloyd
+    iterations, all from one pairwise distance matrix.
 
     A sequence of seeds computes the curves of that many independent point
     sets, `points` then being a sequence of sets, in one batch that advances
@@ -391,6 +401,14 @@ def _sse_curves(point_sets, seeds) -> list[np.ndarray]:
     if len(seeds) != len(sets):
         raise ValidationError("sse_curve needs one seed per point set")
     pairwise = [_pairwise_sqdist(points) for points in sets]
+    # every (set, count) pair's seeds, each from a fresh generator of its
+    # set's seed as a lone kmeans call would draw them, in one lockstep pass
+    pairs = [(s, k) for s, points in enumerate(sets) for k in range(1, len(points) + 1)]
+    draws = _kmeanspp_seeds(
+        pairwise, [k for _, k in pairs], [np.random.default_rng(seeds[s]) for s, _ in pairs],
+        DEFAULT_RESTARTS, [s for s, _ in pairs],
+    )
+    seeded = dict(zip(pairs, draws))
     curves = [np.empty(len(points), dtype=np.float64) for points in sets]
     prev: list[KMeansResult | None] = [None] * len(sets)
     for k in range(1, max(map(len, sets), default=0) + 1):
@@ -403,10 +421,7 @@ def _sse_curves(point_sets, seeds) -> list[np.ndarray]:
                 own_dist = ((points - centroids[prev[s].assignment]) ** 2).sum(axis=1)
                 extra.append(np.vstack([centroids, points[int(np.argmax(own_dist))]]))
             extras.append(extra)
-        results = _kmeans_sets(
-            [sets[s] for s in live], [k] * len(live), [seeds[s] for s in live],
-            DEFAULT_RESTARTS, extras, [pairwise[s] for s in live],
-        )
+        results = _kmeans_sets([sets[s] for s in live], [seeded[s, k] for s in live], extras)
         for s, result in zip(live, results):
             prev[s] = result
             curves[s][k - 1] = result.sse

@@ -143,7 +143,7 @@ class CalibrationProfile:
 
     @classmethod
     def load(cls, path) -> "CalibrationProfile":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
 

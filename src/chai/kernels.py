@@ -20,6 +20,7 @@ from .errors import ConfigError, ContractError, ShapeError
 
 DTYPE = np.float32
 ROPE_BASE = 10000.0
+MASK_BAND = 64  # rows per band of softmax_rows's causal mask
 
 # A Matrix is a 2-D float32 ndarray; the alias exists for signature clarity.
 Matrix = np.ndarray
@@ -78,9 +79,21 @@ def softmax_rows(
         np.copyto(out, scores)
 
     # Masking is needed only when some key position lies beyond a row's query.
+    # Row i masks the columns past causal_from + i. A band of rows masks the
+    # columns past its last query by slice, and its diagonal block, whose
+    # first column is its first query, by one upper-triangle mask.
     if causal_from is not None and n_cols - 1 > causal_from:
-        query_pos = causal_from + np.arange(n_rows)
-        np.copyto(out, -np.inf, where=np.arange(n_cols)[None, :] > query_pos[:, None])
+        band = np.arange(MASK_BAND)
+        above = band[:, None] < band  # strictly above the diagonal
+        for lo in range(0, n_rows, MASK_BAND):
+            first = causal_from + lo  # the band's first query position
+            if first >= n_cols - 1:  # no later row masks anything
+                break
+            hi = min(lo + MASK_BAND, n_rows)
+            out[..., lo:hi, causal_from + hi :] = -np.inf
+            width = min(hi - lo, n_cols - first)
+            np.copyto(out[..., lo:hi, first : first + width], -np.inf,
+                      where=above[: hi - lo, :width])
     # exp(-inf) is exactly +0.0, so masked entries come out as 0 with no fix-up.
     out -= out.max(axis=-1, keepdims=True)
     np.exp(out, out=out)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -532,6 +533,80 @@ class TestBatchOracle:
         with pytest.raises(ValidationError, match="one seed per point set"):
             sse_curve(sets, seed=[0])
         assert kmeans([], [], seed=[]) == [] and sse_curve([], seed=[]) == []
+
+
+class TestSeedingPass:
+    """`sse_curve` seeds every (set, cluster count) pair of its batch in one
+    `_kmeanspp_seeds` call, each pair from a fresh generator of its set's
+    seed, and the pairs of one set read that set's one pairwise matrix."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        real = clustering_mod._kmeanspp_seeds
+
+        def seeds(pairwise, ks, rngs, restarts, owners=None):
+            calls.append(len(ks))
+            return real(pairwise, ks, rngs, restarts, owners)
+
+        monkeypatch.setattr(clustering_mod, "_kmeanspp_seeds", seeds)
+        return calls
+
+    @staticmethod
+    def duplicate_heavy_sets(sizes, seed):
+        """Per size, a set of one distinct row, one of 0/1 rows and one of
+        a few uniform rows, each with its own seed."""
+        rng = np.random.default_rng(seed)
+        sets = []
+        for n in sizes:
+            for distinct, binary in ((1, False), (3, True), (max(2, n // 4), False)):
+                rows = rng.uniform(size=(distinct, 4))
+                if binary:
+                    rows = np.round(rows)
+                sets.append((rows[rng.integers(distinct, size=n)], int(rng.integers(1 << 30))))
+        return sets
+
+    def test_one_seeding_call_per_batch(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        sets = self.duplicate_heavy_sets((5, 9, 12), seed=40)
+        sse_curve([points for points, _ in sets], seed=[s for _, s in sets])
+        assert calls == [sum(len(points) for points, _ in sets)]  # one draw set per count
+        calls.clear()
+        sse_curve(sets[0][0], seed=sets[0][1])
+        assert calls == [5]
+        calls.clear()
+        kmeans([points for points, _ in sets], [2] * len(sets), seed=[s for _, s in sets])
+        assert calls == [len(sets)]
+
+    def test_curves_bit_equal_on_duplicate_heavy_sets(self):
+        sets = self.duplicate_heavy_sets((5, 9, 32), seed=41)
+        got = sse_curve([points for points, _ in sets], seed=[s for _, s in sets])
+        for curve, (points, s) in zip(got, sets):
+            assert curve.tobytes() == reference_sse_curve(points, seed=s).tobytes()
+
+    def test_seeding_keeps_one_pairwise_matrix_per_set(self, monkeypatch):
+        """32 sets of 32 points: one copy of every pairwise matrix per cluster
+        count would be 8 MiB; the whole seeding pass stays below that."""
+        real = clustering_mod._kmeanspp_seeds
+        peaks = []
+
+        def seeds(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            draws = real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return draws
+
+        monkeypatch.setattr(clustering_mod, "_kmeanspp_seeds", seeds)
+        rng = np.random.default_rng(42)
+        sets = [rng.uniform(size=(32, 3)) for _ in range(32)]
+        tracemalloc.start()
+        try:
+            sse_curve(sets, seed=list(range(32)))
+        finally:
+            tracemalloc.stop()
+        per_count_copies = 32 * 32 * 32 * 32 * 8
+        assert len(peaks) == 1 and peaks[0] < per_count_copies
 
 
 def choice_seeds(pairwise, k, rng):

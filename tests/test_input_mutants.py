@@ -1,9 +1,10 @@
 """Seeded mutation test of every input loader: profile JSON, trace CSV,
 calibration corpus JSON and the CHAIWGT1 weight header. Every mutant must
-exit 0, or 2 with one `error:` line; a traceback or exit 1 means a malformed
-input got past the loaders. The trace mutants, and valid traces in the
-grammar export does not write, also load as under the per-row reference
-loader, bar the listed fields only Python's parsers take."""
+exit 0, or 2 with one `error:` line; a traceback, exit 1 or a warning (the
+mutants run with warnings as errors) means a malformed input got past the
+loaders. Text inputs that are not UTF-8 exit 2 too. The trace mutants, and
+valid traces in the grammar export does not write, also load as under the
+per-row reference loader, bar the listed fields only Python's parsers take."""
 
 import copy
 import csv
@@ -160,6 +161,7 @@ def inputs(tmp_path):
     }
 
 
+@pytest.mark.filterwarnings("error")  # a warning is a stderr line before the error
 @pytest.mark.parametrize("loader", ["profile", "trace", "corpus", "weights"])
 def test_every_mutant_exits_0_or_2_with_one_error_line(inputs, capsys, loader):
     path, commands = inputs[loader]
@@ -190,6 +192,25 @@ def test_every_mutant_exits_0_or_2_with_one_error_line(inputs, capsys, loader):
             assert "error:" not in err, (loader, index, err)
         exits.append(code)
     assert 0 in exits and 2 in exits
+
+
+ENCODINGS = {
+    "utf16": lambda data: data.decode().encode("utf-16"),
+    "invalid_byte": lambda data: data[: len(data) // 2] + b"\xff" + data[len(data) // 2 + 1 :],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("loader", ["profile", "trace", "corpus"])
+def test_text_input_that_is_not_utf8_exits_2_naming_the_file(inputs, capsys, loader, encoding):
+    path, commands = inputs[loader]
+    path.write_bytes(ENCODINGS[encoding](path.read_bytes()))
+    for argv in commands:
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0], lines
+        assert "UTF-8" in lines[0] or "utf-8" in lines[0], lines
 
 
 def _loaded(load, path):
