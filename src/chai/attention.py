@@ -6,8 +6,9 @@ slot holds one cluster representative's key plane, the slot's query is the
 representative's, and every head blends values with its slot's probability
 rows. Plain multi-head attention is the singleton plan (one head per slot),
 which prunes nothing and selects no weight columns; only under it does the
-kernel attend several causal rows at once, as prefill does. `mha_forward`,
-prefill's entry point, delegates to the kernel under that plan.
+kernel attend several causal rows at once, as prefill does, or record a
+trace, as the decode steps before a plan freezes do. `mha_forward`,
+prefill's entry point, is the kernel under a second name.
 The head layout (`plan.HeadLayout`) says which key and value heads a cache
 stores: a `KVCache` is built in one layout, with room for the positions
 its caller asks for (a request's prompt plus its decode steps, never
@@ -319,16 +320,16 @@ def _project_heads(x: np.ndarray, columns: np.ndarray, head_dim: int) -> np.ndar
     return matmul(x, columns).reshape(x.shape[0], -1, head_dim)
 
 
-def _to_cache_layout(block: np.ndarray) -> np.ndarray:
-    """(T, heads, d_h) -> contiguous (heads, T, d_h)."""
-    return np.ascontiguousarray(block.transpose(1, 0, 2))
-
-
 class PlanTensors:
     """The weight columns a forward pass reads under `layout`, gathered once
     per plan: per layer, the representatives' wq/wk columns in cluster order
     and the wv columns of the layout's value heads. Under the singleton
     layout every column selection is the weight matrix itself.
+
+    The wq/wk columns stay in cluster order and the kernel reorders each
+    call's rows to slot order: gathering the columns in slot order instead
+    changes the projection's bits at some widths (ROADMAP's exactness facts
+    give the measurement).
     """
 
     def __init__(self, layout: HeadLayout, weights_layers, head_dim: int):
@@ -354,10 +355,12 @@ def clustered_forward(
     for cluster representatives; every head's output uses its
     representative's probability rows. With one value head per slot (value
     reuse) the slot's value output is replicated across the cluster instead
-    of blending each head's own values. `trace` records each head's rows.
+    of blending each head's own values.
 
-    Several rows (prefill) are accepted only under the singleton plan. Slots
-    are processed in groups whose float32 (G, T, start + T) score buffer fits
+    Several rows (prefill) and a `trace`, which records each head's rows,
+    are accepted only under the singleton plan; anything else raises
+    ContractError before a row is projected or cached. Slots are processed
+    in groups whose float32 (G, T, start + T) score buffer fits
     SCORE_BUFFER_BYTES, with at least one slot per group; one row is always
     one group. Scores are normalized in place, and value blends are written
     straight into the merged output.
@@ -377,10 +380,11 @@ def clustered_forward(
         raise ShapeError(f"expected (T, {config.model_dim}) input, got {x.shape}")
     tokens = x.shape[0]
     slots = len(layout.key_heads[layer])
-    if tokens > 1 and slots != num_heads:
+    if slots != num_heads and (tokens > 1 or trace is not None):
+        what = f"{tokens} rows" if tokens > 1 else "a traced row"
         raise ContractError(
-            f"{tokens} rows under a plan of {slots} slots for {num_heads} heads: "
-            "only the singleton plan attends several rows"
+            f"{what} under a plan of {slots} slots for {num_heads} heads: "
+            "only the singleton plan attends several rows or records a trace"
         )
 
     start = lc.length
@@ -394,8 +398,9 @@ def clustered_forward(
     new_values = _project_heads(x, pt.wv[layer], head_dim)
 
     # cache slots hold representatives in ascending-head order; reorder the
-    # new rows rather than the cached key planes
-    lc.append(_to_cache_layout(new_keys[:, cluster_of_slot, :]), _to_cache_layout(new_values))
+    # new rows, not the cached key planes, nor the columns, whose slot order
+    # would change the projection's bits (see PlanTensors)
+    lc.append(new_keys[:, cluster_of_slot, :].transpose(1, 0, 2), new_values.transpose(1, 0, 2))
     slot_queries = queries[:, cluster_of_slot, :].transpose(1, 0, 2)
     live_keys = lc.live_keys().transpose(0, 2, 1)
     live_values = lc.live_values()
@@ -416,28 +421,11 @@ def clustered_forward(
             head_outputs[:] = np.matmul(probs, live_values)[slot_of_head]
         else:
             np.matmul(probs[slot_of_head], live_values, out=head_outputs)
-        if trace is not None:
-            if slots == num_heads:
-                trace.record(layer, start, slice(lo, hi), probs)
-            else:  # one row, one group
-                trace.record(layer, start, slice(None), probs[slot_of_head])
+        if trace is not None:  # singleton plan: slots lo..hi are heads lo..hi
+            trace.record(layer, start, slice(lo, hi), probs)
     return matmul(merged, layer_weights.wo)
 
 
-def mha_forward(
-    x: np.ndarray,
-    layer_weights: LayerWeights,
-    cache: KVCache,
-    layer: int,
-    plan_tensors: PlanTensors,
-    trace: AttentionTrace | None = None,
-) -> np.ndarray:
-    """Causal multi-head attention of one or more rows over an unpruned cache:
-    `clustered_forward` under the singleton plan, whose `plan_tensors` the
-    caller builds once per request. The entry point of prefill and of
-    calibration prefixes."""
-    if len(plan_tensors.layout.key_heads[layer]) != cache.config.num_heads:
-        raise ContractError("mha_forward runs under the singleton plan's tensors")
-    return clustered_forward(x, layer_weights, cache, layer, plan_tensors, trace)
-
-
+# Prefill's name for the kernel, which the benchmark's tracer replaces in
+# `chai.engine` to time prefill apart from decode.
+mha_forward = clustered_forward

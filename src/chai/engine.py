@@ -5,8 +5,10 @@ value-reuse variant, and offline calibration.
 Every forward pass goes through the one attention kernel,
 `clustered_forward`, under precomputed `PlanTensors`. Plain multi-head
 attention is the singleton plan (every head its own cluster): every mode
-prefills the prompt under it, through `mha_forward`. Each plan epoch has
-one `HeadLayout`, which the cache, the plan tensors and the accounting read.
+prefills the prompt under it, through `mha_forward`, the kernel's name for
+prefill (the benchmark's tracer replaces it to time prefill apart from
+decode). Each plan epoch has one `HeadLayout`, which the cache, the plan
+tensors and the accounting read.
 A request's cache holds exactly its prompt plus its decode steps; a
 calibration prefix's holds exactly the window. `max_seq_len` is only the
 limit both are checked against.
@@ -15,11 +17,13 @@ Every request is two plan epochs. Decode steps 1..split run under the
 singleton plan over the unpruned cache; split is `steps` for MHA (the plan
 never freezes), 0 for the static variant and min(identify_at, steps) for
 the clustered modes, whose steps 1..split are traced into one array sized
-to them (a calibration prefix traces its window). The plan freezes at
-one site, at the start of step split + 1: to the profile's calibration-time
-assignment for the static variant, or else to a clustering of each layer's
-heads from the traced rows (k-means with the profile's per-layer cluster
-counts), after which the trace is released unless the caller collects it.
+to them (a calibration prefix traces its window); the kernel records a
+trace only under the singleton plan, so no frozen step is traced. The plan
+freezes at one site, at the start of step split + 1: to the profile's
+calibration-time assignment for the static variant, or else to a
+clustering of each layer's heads from the traced rows (k-means with the
+profile's per-layer cluster counts), after which the trace is released
+unless the caller collects it.
 The frozen plan's head layout is derived, the request's one cache is
 pruned to it in place (releasing each layer's dropped planes), and only
 then are the layout's `PlanTensors` gathered; they run every remaining step.

@@ -112,7 +112,7 @@ def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
         raise ShapeError(f"rms_norm input {x.shape} does not match gain {gain.shape}")
     mean_sq = np.mean(np.square(x), axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(mean_sq + DTYPE(eps))
-    return (x * inv).astype(DTYPE) * gain
+    return x * inv * gain
 
 
 def apply_rope_heads(x: np.ndarray, start_position: int) -> np.ndarray:

@@ -46,7 +46,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BadMagicError, ConfigError, HeaderMismatchError, TruncatedWeightsError
+from .errors import (
+    BadMagicError, ConfigError, HeaderMismatchError, TruncatedWeightsError, WeightFileError
+)
 from .plan import ClusterPlan, HeadLayout, is_integer
 
 MAGIC = b"CHAIWGT1"
@@ -248,53 +250,62 @@ def load_weights(path) -> Weights:
     payload's bytes, read once.
 
     Raises BadMagicError, TruncatedWeightsError, or HeaderMismatchError for
-    the corresponding file defects.
+    the corresponding file defects, each message beginning `weights PATH: `.
     """
+
+    def defect(kind: type[WeightFileError], problem: str) -> WeightFileError:
+        return kind(f"weights {path}: {problem}")
+
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < len(MAGIC):
-            raise TruncatedWeightsError(f"file is {size} bytes, shorter than the magic")
+            raise defect(TruncatedWeightsError, f"file is {size} bytes, shorter than the magic")
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
-            raise BadMagicError(f"expected magic {MAGIC!r}, found {magic!r}")
+            raise defect(BadMagicError, f"expected magic {MAGIC!r}, found {magic!r}")
         offset = len(MAGIC)
 
         if size < offset + 4:
-            raise TruncatedWeightsError("file ends inside the header length prefix")
+            raise defect(TruncatedWeightsError, "file ends inside the header length prefix")
         (header_len,) = struct.unpack("<I", fh.read(4))
         offset += 4
         if size < offset + header_len:
-            raise TruncatedWeightsError("file ends inside the JSON header")
+            raise defect(TruncatedWeightsError, "file ends inside the JSON header")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
             config = ModelConfig.from_dict(header["config"])
             declared = [tuple(entry) for entry in header["tensors"]]
         except (ValueError, KeyError, TypeError, ConfigError) as exc:
-            raise HeaderMismatchError(f"unreadable header: {exc}") from exc
+            raise defect(HeaderMismatchError, f"unreadable header: {exc}") from exc
         offset += header_len
 
         # Check the header's sizes against the config, and the payload's
         # against the file, before allocating anything whose size they set.
         entry_count = 3 + config.num_layers * len(fields(LayerWeights))
         if len(declared) != entry_count:
-            raise HeaderMismatchError(
-                f"header declares {len(declared)} tensors, its config implies {entry_count}"
+            raise defect(
+                HeaderMismatchError,
+                f"header declares {len(declared)} tensors, its config implies {entry_count}",
             )
         expected = _tensor_manifest(config)
         if declared != expected:
             got, want = next((g, w) for g, w in zip(declared, expected) if g != w)
-            raise HeaderMismatchError(
+            raise defect(
+                HeaderMismatchError,
                 "tensor manifest does not match the declared config "
-                f"(first difference: declared {got}, expected {want})"
+                f"(first difference: declared {got}, expected {want})",
             )
         payload = 4 * sum(rows * cols for _, rows, cols in expected)
         if size - offset < payload:
-            raise TruncatedWeightsError(
+            raise defect(
+                TruncatedWeightsError,
                 f"file ends inside the payload: need {payload} bytes at offset {offset}, "
-                f"{size - offset} left"
+                f"{size - offset} left",
             )
         if size - offset > payload:
-            raise HeaderMismatchError(f"{size - offset - payload} trailing bytes after the payload")
+            raise defect(
+                HeaderMismatchError, f"{size - offset - payload} trailing bytes after the payload"
+            )
 
         # a private anonymous mapping, apart from the heap, on huge pages
         # where the kernel has them, as numpy asks for its own large arrays
@@ -303,8 +314,9 @@ def load_weights(path) -> Weights:
             buffer.madvise(mmap.MADV_HUGEPAGE)
         read = fh.readinto(buffer)
         if read != payload:
-            raise TruncatedWeightsError(
-                f"file ends inside the payload: read {read} of {payload} bytes at offset {offset}"
+            raise defect(
+                TruncatedWeightsError,
+                f"file ends inside the payload: read {read} of {payload} bytes at offset {offset}",
             )
 
     # copies only on a big-endian host

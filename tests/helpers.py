@@ -6,9 +6,7 @@ import struct
 
 import numpy as np
 
-from chai.attention import (
-    TRACE_COLUMNS, AttentionTrace, PlanTensors, _head_scale, _project_heads, _to_cache_layout,
-)
+from chai.attention import TRACE_COLUMNS, AttentionTrace, PlanTensors, _head_scale, _project_heads
 from chai.clustering import (
     DEFAULT_RESTARTS, MAX_ITERATIONS, RELATIVE_TOL, KMeansResult, derived_seed, extract_features,
     kmeans,
@@ -182,7 +180,7 @@ def reference_mha_forward(x, layer_weights, cache, layer, trace=None):
     queries = apply_rope_heads(_project_heads(x, layer_weights.wq, head_dim), start)
     new_keys = apply_rope_heads(_project_heads(x, layer_weights.wk, head_dim), start)
     new_values = _project_heads(x, layer_weights.wv, head_dim)
-    lc.append(_to_cache_layout(new_keys), _to_cache_layout(new_values))
+    lc.append(new_keys.transpose(1, 0, 2), new_values.transpose(1, 0, 2))
     live_keys = lc.live_keys()
     live_values = lc.live_values()
 

@@ -300,28 +300,6 @@ class TestClusteredForward:
             _, outs = self._run_both(weights, plan)
             assert all(o.shape == (1, 32) for o in outs)
 
-    def test_trace_gives_each_head_its_representatives_row(self):
-        weights = small_weights(seed=5)
-        plan = grouped_plan(2, 4, [2, 3])  # layer 0: heads 0, 1 and 2, 3 share rows
-        rows = np.random.default_rng(7).standard_normal((3, 32)).astype(np.float32)
-        singleton = singleton_tensors(weights)
-        traces = []
-        for clustered in (False, True):
-            cache = KVCache(weights.config, singleton.layout, 3)
-            trace = AttentionTrace(2, 4, 3)
-            tensors = singleton
-            for step, row in enumerate(rows, start=1):
-                if clustered and step == 3:
-                    tensors = plan_tensors(weights, plan)
-                    prune_cache(cache, tensors.layout)
-                clustered_forward(row[None, :], weights.layers[0], cache, 0, tensors, trace)
-            traces.append(trace)
-        plain, mixed = traces
-        assert mixed.steps(0) == [1, 2, 3]
-        for head, rep in enumerate([0, 0, 2, 2]):
-            assert mixed.row(0, head, 3).tobytes() == plain.row(0, rep, 3).tobytes()
-        assert mixed.rows[:, :, :2].tobytes() == plain.rows[:, :, :2].tobytes()
-
     def test_score_rows_computed_equals_cluster_count(self, monkeypatch):
         weights = small_weights(seed=5)
         plan = grouped_plan(2, 4, [2, 2])
@@ -372,23 +350,31 @@ class TestClusteredForward:
 
     @pytest.mark.parametrize("prune_values", [False, True])
     def test_several_rows_under_clustered_plan_rejected_before_caching(self, prune_values):
+        """Several rows, or one traced row, under a clustered plan raise
+        before anything is cached or traced."""
         weights = small_weights(seed=7)
         rng = np.random.default_rng(1)
         singleton = singleton_tensors(weights)
         cache = KVCache(weights.config, singleton.layout, 4)
+        trace = AttentionTrace(2, 4, 2)
         clustered_forward(
-            rng.standard_normal((1, 32)).astype(np.float32), weights.layers[0], cache, 0, singleton
+            rng.standard_normal((1, 32)).astype(np.float32), weights.layers[0], cache, 0,
+            singleton, trace,
         )
         plan = grouped_plan(2, 4, [2, 2])
         tensors = plan_tensors(weights, plan, reuse_values=prune_values)
         prune_cache(cache, tensors.layout)
-        before = cache.layers[0].keys.copy(), cache.layers[0].values.copy()
-        x = rng.standard_normal((3, 32)).astype(np.float32)
-        with pytest.raises(ContractError, match="only the singleton plan"):
-            clustered_forward(x, weights.layers[0], cache, 0, tensors)
-        assert cache.layers[0].length == 1
-        assert cache.layers[0].keys.tobytes() == before[0].tobytes()
-        assert cache.layers[0].values.tobytes() == before[1].tobytes()
+        lc = cache.layers[0]
+        before = lc.keys.copy(), lc.values.copy(), trace.rows.copy()
+        for tokens, call_trace in ((3, None), (1, trace)):
+            x = rng.standard_normal((tokens, 32)).astype(np.float32)
+            with pytest.raises(ContractError, match="only the singleton plan"):
+                clustered_forward(x, weights.layers[0], cache, 0, tensors, call_trace)
+            assert lc.length == 1
+            assert lc.keys.tobytes() == before[0].tobytes()
+            assert lc.values.tobytes() == before[1].tobytes()
+            assert trace.rows.tobytes() == before[2].tobytes()
+            assert trace.recorded == [1, 0]
 
 
 class TestPruneCache:

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import resource
+import struct
 import subprocess
 import sys
 
@@ -745,6 +746,25 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert "max_seq_len must be a positive integer, got True" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defect", ["bad magic", "truncated", "header not UTF-8"])
+    def test_weight_file_error_names_the_file(self, tmp_path, capsys, defect):
+        wpath, _ = write_small_model(tmp_path)
+        raw = wpath.read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes({
+            "bad magic": b"NOTCHAI!" + raw[8:],
+            "truncated": raw[:-4],
+            "header not UTF-8": raw[:12] + b"\xff" * header_len + raw[12 + header_len :],
+        }[defect])
+        out = tmp_path / "r.json"
+        assert main([
+            "generate", "--weights", str(bad), "--text", "ab", "--steps", "2", "--out", str(out),
+        ]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: weights {bad}: "), lines
         assert not out.exists()
 
     def test_header_with_a_billion_positions_runs_at_request_size(self, tmp_path):
