@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (
     ContractError, InsufficientTraceError, ModeMismatchError, ShapeError, ValidationError
 )
-from .kernels import apply_rope_heads, matmul, softmax_rows
+from .kernels import apply_rope_heads, matmul, rope_table, softmax_rows
 from .model import LayerWeights, ModelConfig, head_columns
 from .plan import HeadLayout
 
@@ -77,13 +77,16 @@ class LayerCache:
 
 class KVCache:
     """One LayerCache per layer with room for `capacity` positions of every
-    key and value head `layout` names. `pruned` marks a cache `prune_cache`
-    has narrowed, whose layout may still equal the singleton one."""
+    key and value head `layout` names, and the `rope_table` of those
+    positions, which every layer's queries and keys read. `pruned` marks a
+    cache `prune_cache` has narrowed, whose layout may still equal the
+    singleton one."""
 
     def __init__(self, config: ModelConfig, layout: HeadLayout, capacity: int):
         self.config = config
         self.layout = layout
         self.capacity = capacity
+        self.rope = rope_table(capacity, config.head_dim)
         self.pruned = False
         self.layers = [
             LayerCache(len(key_heads), len(value_heads), capacity, config.head_dim)
@@ -315,16 +318,12 @@ def _head_scale(head_dim: int) -> np.float32:
     return np.float32(1.0 / math.sqrt(head_dim))
 
 
-def _project_heads(x: np.ndarray, columns: np.ndarray, head_dim: int) -> np.ndarray:
-    """One batched projection onto selected head columns: (T, n_heads, head_dim)."""
-    return matmul(x, columns).reshape(x.shape[0], -1, head_dim)
-
-
 class PlanTensors:
     """The weight columns a forward pass reads under `layout`, gathered once
     per plan: per layer, the representatives' wq/wk columns in cluster order
-    and the wv columns of the layout's value heads. Under the singleton
-    layout every column selection is the weight matrix itself.
+    and the wv columns of the layout's value heads, and the score `scale`.
+    Under the singleton layout every column selection is the weight matrix
+    itself.
 
     The wq/wk columns stay in cluster order and the kernel reorders each
     call's rows to slot order: gathering the columns in slot order instead
@@ -334,6 +333,7 @@ class PlanTensors:
 
     def __init__(self, layout: HeadLayout, weights_layers, head_dim: int):
         self.layout = layout
+        self.scale = _head_scale(head_dim)
         self.wq, self.wk, self.wv = [], [], []
         per_layer = zip(weights_layers, layout.plan.layers, layout.value_heads, strict=True)
         for layer_weights, layer_plan, value_heads in per_layer:
@@ -358,9 +358,10 @@ def clustered_forward(
     of blending each head's own values.
 
     Several rows (prefill) and a `trace`, which records each head's rows,
-    are accepted only under the singleton plan; anything else raises
-    ContractError before a row is projected or cached. Slots are processed
-    in groups whose float32 (G, T, start + T) score buffer fits
+    are accepted only under the singleton plan, and the rows must fit the
+    cache; anything else raises ContractError before a row is projected or
+    cached. Queries and keys rotate by the cache's `rope_table`. Slots are
+    processed in groups whose float32 (G, T, start + T) score buffer fits
     SCORE_BUFFER_BYTES, with at least one slot per group; one row is always
     one group. Scores are normalized in place, and value blends are written
     straight into the merged output.
@@ -386,24 +387,31 @@ def clustered_forward(
             f"{what} under a plan of {slots} slots for {num_heads} heads: "
             "only the singleton plan attends several rows or records a trace"
         )
-
     start = lc.length
-    scale = _head_scale(head_dim)
+    if start + tokens > cache.capacity:  # the rotary table ends there too
+        raise ContractError(f"cache capacity {cache.capacity} exceeded at length {start}")
+
     cluster_of_slot = layout.cluster_of_slot[layer]
     slot_of_head = layout.slot_of_head[layer]
 
-    # projections land in cluster-id order (one column block per cluster)
-    queries = apply_rope_heads(_project_heads(x, pt.wq[layer], head_dim), start)
-    new_keys = apply_rope_heads(_project_heads(x, pt.wk[layer], head_dim), start)
-    new_values = _project_heads(x, pt.wv[layer], head_dim)
-
-    # cache slots hold representatives in ascending-head order; reorder the
-    # new rows, not the cached key planes, nor the columns, whose slot order
-    # would change the projection's bits (see PlanTensors)
-    lc.append(new_keys[:, cluster_of_slot, :].transpose(1, 0, 2), new_values.transpose(1, 0, 2))
-    slot_queries = queries[:, cluster_of_slot, :].transpose(1, 0, 2)
-    live_keys = lc.live_keys().transpose(0, 2, 1)
-    live_values = lc.live_values()
+    # queries and keys in one (2, T, slots, head_dim) block, projected in
+    # cluster-id order (one column block per cluster) and reordered to slot
+    # order (cache slots hold representatives in ascending-head order) before
+    # rotation; the rows are reordered, not the cached key planes, nor the
+    # columns, whose slot order would change the projection's bits (see
+    # PlanTensors)
+    qk = np.empty((2, tokens, slots * head_dim), dtype=np.float32)
+    matmul(x, pt.wq[layer], out=qk[0])
+    matmul(x, pt.wk[layer], out=qk[1])
+    qk = qk.reshape(2, tokens, slots, head_dim)
+    if cluster_of_slot is not None:
+        qk = qk[:, :, cluster_of_slot]
+    rotated = apply_rope_heads(qk, start, cache.rope)  # indexed, as unpacking iterates
+    new_values = matmul(x, pt.wv[layer]).reshape(tokens, -1, head_dim)
+    lc.append(rotated[1].transpose(1, 0, 2), new_values.transpose(1, 0, 2))
+    queries = rotated[0].transpose(1, 0, 2)
+    live_keys = lc.keys[:, : start + tokens].transpose(0, 2, 1)
+    live_values = lc.values[:, : start + tokens]
 
     merged = np.empty((tokens, num_heads * head_dim), dtype=np.float32)
     head_outputs = merged.reshape(tokens, num_heads, head_dim).transpose(1, 0, 2)
@@ -412,13 +420,14 @@ def clustered_forward(
         group = max(1, SCORE_BUFFER_BYTES // (4 * tokens * lc.length))  # float32
     for lo in range(0, slots, group):
         hi = min(lo + group, slots)
-        probs = np.matmul(slot_queries[lo:hi], live_keys[lo:hi])
-        probs *= scale
+        probs = np.matmul(queries[lo:hi], live_keys[lo:hi])
+        probs *= pt.scale
         softmax_rows(probs, causal_from=start, out=probs)
         if slots == num_heads:  # slot s holds head s
             np.matmul(probs, live_values[lo:hi], out=head_outputs[lo:hi])
         elif layout.reuse_values:
-            head_outputs[:] = np.matmul(probs, live_values)[slot_of_head]
+            # "clip" writes into the output directly; "raise" would buffer
+            np.matmul(probs, live_values).take(slot_of_head, 0, head_outputs, "clip")
         else:
             np.matmul(probs[slot_of_head], live_values, out=head_outputs)
         if trace is not None:  # singleton plan: slots lo..hi are heads lo..hi

@@ -213,11 +213,15 @@ def _kmeanspp_seeds(pairwise, ks, rngs, restarts: int, owners=None) -> list[np.n
         matrix = np.array([shared[owners[s]] for s in members])  # each member's stack row
         counts = np.array([ks[s] for s in members])
         gens = [rngs[s] for s in members]
-        out = np.empty((len(members), restarts, counts.max()), dtype=np.intp)
+        # member t's (restarts, counts[t]) indices, one block after another
+        sizes = restarts * counts
+        offsets = np.cumsum(sizes) - sizes
+        seeds = np.empty(sizes.sum(), dtype=np.intp)
         for r in range(restarts):
-            out[:, r, 0] = [g.integers(n) for g in gens]
+            row = offsets + r * counts  # where each member's restart r starts
+            seeds[row] = [g.integers(n) for g in gens]
             live = np.flatnonzero(counts > 1)  # the sets still drawing
-            d2 = stack[matrix[live], out[live, r, 0]]
+            d2 = stack[matrix[live], seeds[row[live]]]
             for j in range(1, counts.max()):
                 keep = counts[live] > j
                 if not keep.all():
@@ -226,7 +230,8 @@ def _kmeanspp_seeds(pairwise, ks, rngs, restarts: int, owners=None) -> list[np.n
                 flat = total <= 0.0  # every point is a seed's duplicate, and stays one
                 if flat.any():
                     for t in live[flat].tolist():
-                        out[t, r, j : counts[t]] = gens[t].integers(n, size=counts[t] - j)
+                        seeds[row[t] + j : row[t] + counts[t]] = gens[t].integers(
+                            n, size=counts[t] - j)
                     live, d2, total = live[~flat], d2[~flat], total[~flat]
                 if not live.size:
                     break
@@ -234,10 +239,10 @@ def _kmeanspp_seeds(pairwise, ks, rngs, restarts: int, owners=None) -> list[np.n
                 cdf = np.cumsum(d2 / total[:, None], axis=1)
                 cdf /= cdf[:, -1:]
                 chosen = (cdf <= u[:, None]).sum(axis=1)
-                out[live, r, j] = chosen
+                seeds[row[live] + j] = chosen
                 d2 = np.minimum(d2, stack[matrix[live], chosen])
         for t, s in enumerate(members):
-            draws[s] = out[t, :, : ks[s]]
+            draws[s] = seeds[offsets[t] : offsets[t] + sizes[t]].reshape(restarts, ks[s])
     return draws
 
 

@@ -151,11 +151,6 @@ class CalibrationProfile:
             return cls.from_dict(json.load(fh))
 
 
-def _silu(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return x / (1.0 + np.exp(-x))
-
-
 def _forward_pass(
     weights: Weights,
     token_ids,
@@ -171,10 +166,22 @@ def _forward_pass(
     h = weights.token_embedding[ids]
     for layer, lw in enumerate(weights.layers):
         normed = rms_norm(h, lw.attn_norm_gain)
-        h = h + attend(normed, lw, cache, layer, plan_tensors, trace)
+        h += attend(normed, lw, cache, layer, plan_tensors, trace)
         normed = rms_norm(h, lw.mlp_norm_gain)
-        gated = _silu(matmul(normed, lw.w_gate)) * matmul(normed, lw.w_up)
-        h = h + matmul(gated, lw.w_down)
+        # silu(gate) * up = gate / (1 + exp(-gate)) * up, in gate's buffer;
+        # exp(-gate) overflows to inf, whose quotient is the exact 0, only
+        # past 88.72, and only then is an errstate (dearer than the max) needed
+        gate = matmul(normed, lw.w_gate)
+        denominator = np.negative(gate)
+        if np.maximum.reduce(denominator, None) < 88.0:
+            np.exp(denominator, out=denominator)
+        else:
+            with np.errstate(over="ignore"):
+                np.exp(denominator, out=denominator)
+        denominator += 1.0
+        gate /= denominator
+        gate *= matmul(normed, lw.w_up)
+        h += matmul(gate, lw.w_down)
     last = rms_norm(h[-1:], weights.final_norm_gain)
     logits = matmul(last, weights.output_projection)[0]
     if not np.isfinite(logits).all():
@@ -387,7 +394,7 @@ def generate(
             weights, [next_token], cache, clustered_forward, tensors,
             trace=trace if step <= split else None,
         )
-        next_token = int(np.argmax(logits))
+        next_token = int(logits.argmax())
         step_ms.append((time.perf_counter() - step_start) * 1000.0)
 
         if collect_logits:

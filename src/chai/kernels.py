@@ -10,9 +10,21 @@ Row softmax and the score paths are deliberately row-independent so that
 computing a subset of rows yields bit-identical values to computing the
 full set; the attention module relies on this for its exact-equivalence
 guarantees between the pruned and unpruned paths.
+
+Rotary positions read a table built once per KV cache (`rope_table`, in
+the manner of LLaMA's `precompute_freqs_cis`): for every position it holds
+cos(angle) repeated over each dimension pair and sin(angle) signed -/+ per
+pair, each computed in float64 and rounded to float32, so a rotation is
+`x * cos + swap_pairs(x) * sin`. That is byte-equal to rotating with
+`even * cos - odd * sin` and `even * sin + odd * cos` from freshly computed
+angles: IEEE 754 defines a - b as a + (-b), a product's rounding is
+symmetric in sign, so fl(odd * -sin) = -fl(odd * sin), and addition
+commutes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,18 +38,18 @@ MASK_BAND = 64  # rows per band of softmax_rows's causal mask
 Matrix = np.ndarray
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Multiply an (m, k) matrix by a (k, n) matrix.
+def matmul(a: Matrix, b: Matrix, out: Matrix | None = None) -> Matrix:
+    """Multiply an (m, k) float32 matrix by a (k, n) one, into the
+    C-contiguous float32 (m, n) matrix `out` if one is given.
 
-    Raises ShapeError naming both shapes when the inner dimensions differ.
+    The operands are not converted or checked before the multiply, which a
+    decode step makes seven times per layer: numpy's shape error becomes a
+    ShapeError naming both shapes.
     """
-    a = np.asarray(a, dtype=DTYPE)
-    b = np.asarray(b, dtype=DTYPE)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
+    try:
+        return a @ b if out is None else np.matmul(a, b, out=out)
+    except ValueError:
+        raise ShapeError(f"cannot multiply {np.shape(a)} by {np.shape(b)}") from None
 
 
 def softmax_rows(
@@ -58,7 +70,7 @@ def softmax_rows(
     returned and `m` is left untouched. The input is validated before `out`
     is written.
     """
-    scores = np.asarray(m, dtype=DTYPE)
+    scores = m if out is m else np.asarray(m, dtype=DTYPE)
     if scores.ndim not in (2, 3):
         raise ShapeError(f"softmax_rows expects a 2-D or 3-D array, got shape {scores.shape}")
     n_rows, n_cols = scores.shape[-2:]
@@ -95,48 +107,77 @@ def softmax_rows(
             np.copyto(out[..., lo:hi, first : first + width], -np.inf,
                       where=above[: hi - lo, :width])
     # exp(-inf) is exactly +0.0, so masked entries come out as 0 with no fix-up.
-    out -= out.max(axis=-1, keepdims=True)
+    out -= np.maximum.reduce(out, -1, keepdims=True)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out /= np.add.reduce(out, -1, keepdims=True)
     return out
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """RMS-normalize over the last axis: x * gain / sqrt(mean(x^2) + eps).
 
-    Accepts a single vector or a (rows, dim) matrix normalized row-wise.
+    Accepts a single float32 vector or a (rows, dim) float32 matrix
+    normalized row-wise; the gain is converted to float32. A single row's
+    scale 1 / sqrt(mean + eps) comes from float32 scalars rather than four
+    array calls on one element, with the same bits.
     """
-    x = np.asarray(x, dtype=DTYPE)
     gain = np.asarray(gain, dtype=DTYPE)
-    if gain.ndim != 1 or x.shape[-1] != gain.shape[0]:
+    dim = x.shape[-1]
+    if gain.ndim != 1 or dim != gain.shape[0]:
         raise ShapeError(f"rms_norm input {x.shape} does not match gain {gain.shape}")
-    mean_sq = np.mean(np.square(x), axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(mean_sq + DTYPE(eps))
-    return x * inv * gain
+    squares = np.square(x)
+    inv = np.add.reduce(squares, -1, keepdims=True)
+    if inv.size == 1:  # one row, as in every decode step
+        # float32 scalar division and addition round as the array calls do;
+        # sqrt runs in float64 and is rounded to float32 once more, which is
+        # exact, since 53 >= 2 * 24 + 2 digits makes double rounding innocuous
+        inv = 1.0 / DTYPE(math.sqrt(inv.reshape(-1)[0] / dim + eps))
+    else:
+        inv /= dim  # the float32 sum over an int: np.mean's bits, without its wrapper
+        inv += eps
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+    out = np.multiply(x, inv, out=squares)
+    out *= gain
+    return out
 
 
-def apply_rope_heads(x: np.ndarray, start_position: int) -> np.ndarray:
-    """Rotate consecutive dimension pairs of a (T, heads, head_dim) block.
+def rope_table(positions: int, head_dim: int) -> np.ndarray:
+    """The float32 (2, positions, 1, head_dim) rotary table: [0, p, 0]
+    holds cos(a) and [1, p, 0] holds (-sin(a), sin(a)) for each dimension
+    pair's angle a = p * ROPE_BASE**(-2i / head_dim), computed in float64;
+    the singleton axis broadcasts over heads."""
+    if head_dim % 2 != 0:
+        raise ConfigError(f"rotary embedding needs an even head dimension, got {head_dim}")
+    half = head_dim // 2
+    inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
+    angles = np.arange(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
+    sin = np.sin(angles).astype(DTYPE)
+    table = np.empty((2, positions, half, 2), dtype=DTYPE)
+    table[0] = np.cos(angles).astype(DTYPE)[..., None]
+    np.negative(sin, out=table[1, ..., 0])
+    table[1, ..., 1] = sin
+    return table.reshape(2, positions, 1, head_dim)
+
+
+def apply_rope_heads(x: np.ndarray, start_position: int, table: np.ndarray | None = None):
+    """Rotate consecutive dimension pairs of a (..., T, heads, head_dim) block.
 
     Row i sits at absolute position start_position + i; pair p of every head
     rotates by angle position * ROPE_BASE**(-2p / head_dim). Applied to
     queries and keys before caching, so cached keys never need re-rotation.
+    `table` is a `rope_table` covering those positions (a KV cache's); by
+    default one is built for them.
     """
-    x = np.asarray(x, dtype=DTYPE)
-    if x.ndim != 3:
-        raise ShapeError(f"expected a (T, heads, head_dim) block, got shape {x.shape}")
-    dim = x.shape[2]
-    if dim % 2 != 0:
-        raise ConfigError(f"rotary embedding needs an even head dimension, got {dim}")
-    half = dim // 2
-    inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / dim)
-    positions = start_position + np.arange(x.shape[0], dtype=np.float64)
-    angles = positions[:, None] * inv_freq[None, :]
-    cos = np.cos(angles).astype(DTYPE)[:, None, :]
-    sin = np.sin(angles).astype(DTYPE)[:, None, :]
-    even = x[:, :, 0::2]
-    odd = x[:, :, 1::2]
-    out = np.empty_like(x)
-    out[:, :, 0::2] = even * cos - odd * sin
-    out[:, :, 1::2] = even * sin + odd * cos
-    return out
+    shape = x.shape
+    if len(shape) < 3:
+        raise ShapeError(f"expected a (..., T, heads, head_dim) block, got shape {shape}")
+    end = start_position + shape[-3]
+    if table is None:
+        table = rope_table(end, shape[-1])
+    cos = table[0, start_position:end]
+    sin = table[1, start_position:end]
+    swapped = np.empty(shape, DTYPE)  # each pair's entries swapped: 1, 0, 3, 2, ...
+    swapped[..., 0::2] = x[..., 1::2]
+    swapped[..., 1::2] = x[..., 0::2]
+    return x * cos + swapped * sin

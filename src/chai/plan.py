@@ -106,7 +106,8 @@ class HeadLayout:
     Per layer: `key_heads`, the representatives in ascending order (slot s
     stores key head key_heads[s]); `value_heads`, every head, or the key
     heads under value reuse (`reuse_values`, the CHAI-QKV variant);
-    `cluster_of_slot`, the cluster whose key each slot holds; and
+    `cluster_of_slot`, the cluster whose key each slot holds, or None when
+    slot s holds cluster s's (no reorder: every singleton layout); and
     `slot_of_head`, the slot whose probability row each head uses. A plan
     whose layer or head count differs from the model config's raises
     ContractError.
@@ -132,7 +133,8 @@ class HeadLayout:
             slot_of_cluster[cluster_of_slot] = np.arange(len(key_heads))
             self.key_heads.append(key_heads)
             self.value_heads.append(key_heads if reuse_values else list(range(config.num_heads)))
-            self.cluster_of_slot.append(cluster_of_slot)
+            identity = np.array_equal(cluster_of_slot, np.arange(len(key_heads)))
+            self.cluster_of_slot.append(None if identity else cluster_of_slot)
             self.slot_of_head.append(slot_of_cluster[np.asarray(layer.assignment)])
 
     @classmethod

@@ -6,14 +6,14 @@ import struct
 
 import numpy as np
 
-from chai.attention import TRACE_COLUMNS, AttentionTrace, PlanTensors, _head_scale, _project_heads
+from chai.attention import TRACE_COLUMNS, AttentionTrace, PlanTensors, _head_scale
 from chai.clustering import (
     DEFAULT_RESTARTS, MAX_ITERATIONS, RELATIVE_TOL, KMeansResult, derived_seed, extract_features,
     kmeans,
 )
 from chai.engine import CalibrationProfile
 from chai.errors import ContractError, ValidationError
-from chai.kernels import apply_rope_heads, matmul
+from chai.kernels import ROPE_BASE, matmul
 from chai.model import ModelConfig, Weights, init_random, make_redundant
 from chai.plan import ClusterPlan, HeadLayout, LayerPlan
 
@@ -164,6 +164,41 @@ def reference_softmax_rows(scores, causal_from=None):
     return probs.astype(np.float32, copy=False)
 
 
+def reference_apply_rope_heads(x, start_position):
+    """`kernels.apply_rope_heads` as it was before the cached table: float64
+    angles, cos and sin computed per call, and each pair rotated as
+    (even * cos - odd * sin, even * sin + odd * cos). The byte-equality
+    oracle for the table rotation."""
+    x = np.asarray(x, dtype=np.float32)
+    dim = x.shape[2]
+    half = dim // 2
+    inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / dim)
+    positions = start_position + np.arange(x.shape[0], dtype=np.float64)
+    angles = positions[:, None] * inv_freq[None, :]
+    cos = np.cos(angles).astype(np.float32)[:, None, :]
+    sin = np.sin(angles).astype(np.float32)[:, None, :]
+    even = x[:, :, 0::2]
+    odd = x[:, :, 1::2]
+    out = np.empty_like(x)
+    out[:, :, 0::2] = even * cos - odd * sin
+    out[:, :, 1::2] = even * sin + odd * cos
+    return out
+
+
+def reference_rms_norm(x, gain, eps=1e-5):
+    """`kernels.rms_norm` in its `np.mean` form: x * (1 / sqrt(mean(x^2) +
+    eps)) * gain, with float32 x and gain."""
+    x = np.asarray(x, dtype=np.float32)
+    gain = np.asarray(gain, dtype=np.float32)
+    mean_sq = np.mean(np.square(x), axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(mean_sq + np.float32(eps))
+    return x * inv * gain
+
+
+def _reference_project(x, columns, head_dim):
+    return matmul(x, columns).reshape(x.shape[0], -1, head_dim)
+
+
 def reference_mha_forward(x, layer_weights, cache, layer, trace=None):
     """`attention.mha_forward` as first written: a batched single-token
     branch, and per-head prefill with the out-of-place reference softmax on a
@@ -177,9 +212,9 @@ def reference_mha_forward(x, layer_weights, cache, layer, trace=None):
     start = lc.length
     scale = _head_scale(head_dim)
 
-    queries = apply_rope_heads(_project_heads(x, layer_weights.wq, head_dim), start)
-    new_keys = apply_rope_heads(_project_heads(x, layer_weights.wk, head_dim), start)
-    new_values = _project_heads(x, layer_weights.wv, head_dim)
+    queries = reference_apply_rope_heads(_reference_project(x, layer_weights.wq, head_dim), start)
+    new_keys = reference_apply_rope_heads(_reference_project(x, layer_weights.wk, head_dim), start)
+    new_values = _reference_project(x, layer_weights.wv, head_dim)
     lc.append(new_keys.transpose(1, 0, 2), new_values.transpose(1, 0, 2))
     live_keys = lc.live_keys()
     live_values = lc.live_values()
@@ -202,6 +237,45 @@ def reference_mha_forward(x, layer_weights, cache, layer, trace=None):
         if trace is not None:
             trace.record(layer, start, slice(head, head + 1), probs[None])
     merged = np.concatenate(outputs, axis=1)
+    return matmul(merged, layer_weights.wo)
+
+
+def reference_clustered_decode(x, layer_weights, cache, layer, plan_tensors):
+    """One decode row under a frozen plan, derived from the plan alone: slot
+    s holds the s-th smallest representative, whose query and key are read
+    from the cluster-order projection by a lookup per slot, and each head's
+    output, collected in a list, blends its own cached values (or, under
+    value reuse, its slot's) with its representative's probability row. The
+    bit-identity oracle for the kernel's frozen-epoch step."""
+    config = cache.config
+    num_heads, head_dim = config.num_heads, config.head_dim
+    layout = plan_tensors.layout
+    layer_plan = layout.plan.layers[layer]
+    lc = cache.layers[layer]
+    start = lc.length
+
+    queries = reference_apply_rope_heads(_reference_project(x, plan_tensors.wq[layer], head_dim),
+                                         start)[0]
+    keys = reference_apply_rope_heads(_reference_project(x, plan_tensors.wk[layer], head_dim),
+                                      start)[0]
+    values = _reference_project(x, plan_tensors.wv[layer], head_dim)[0]
+    slot_heads = sorted(layer_plan.representatives)
+    slot_clusters = [layer_plan.assignment[head] for head in slot_heads]
+    slot_queries = np.stack([queries[cluster] for cluster in slot_clusters])
+    slot_keys = np.stack([keys[cluster] for cluster in slot_clusters])
+    lc.append(slot_keys[:, None, :], values[:, None, :])
+    live_keys = lc.live_keys()
+    live_values = lc.live_values()
+
+    scores = np.matmul(slot_queries[:, None, :], live_keys.transpose(0, 2, 1))[:, 0, :]
+    scores *= _head_scale(head_dim)
+    probs = reference_softmax_rows(scores)
+    outputs = []
+    for head in range(num_heads):
+        slot = slot_heads.index(layer_plan.representatives[layer_plan.assignment[head]])
+        plane = slot if layout.reuse_values else head
+        outputs.append(np.matmul(probs[slot][None, None, :], live_values[plane][None])[0, 0])
+    merged = np.concatenate(outputs)[None, :]
     return matmul(merged, layer_weights.wo)
 
 

@@ -23,8 +23,8 @@ from chai.errors import (
 from chai.model import ModelConfig, init_random, make_redundant
 from chai.plan import ClusterPlan, HeadLayout, LayerPlan
 from helpers import (
-    grouped_plan, plan_tensors, reference_mha_forward, singleton_tensors, small_config,
-    small_weights,
+    grouped_plan, plan_tensors, reference_clustered_decode, reference_mha_forward,
+    singleton_tensors, small_config, small_weights,
 )
 
 
@@ -205,9 +205,59 @@ class TestPrefillOracle:
 
 
 class TestDecodeOracle:
-    """The one decode kernel under the singleton plan against the reference
-    single-token MHA branch: the output, every cache plane and every trace row
-    must be byte-equal."""
+    """The one decode kernel against the reference single-token MHA branch
+    under the singleton plan, and against the per-head reference under
+    frozen plans: the output, every cache plane and every trace row must be
+    byte-equal."""
+
+    # frozen layer plans of 4 heads: contiguous groups (cluster ids in slot
+    # order), a pair whose ids run against slot order, and a full-size plan
+    # with permuted ids, which reorders every slot and prunes nothing
+    FROZEN = {
+        "grouped": LayerPlan(assignment=(0, 0, 1, 2), representatives=(0, 2, 3)),
+        "swapped": LayerPlan(assignment=(1, 0, 1, 0), representatives=(1, 0)),
+        "full_permuted": LayerPlan(assignment=(2, 0, 3, 1), representatives=(1, 3, 0, 2)),
+    }
+
+    @pytest.mark.parametrize("reuse_values", [False, True], ids=["CHAI", "CHAI_QKV"])
+    @pytest.mark.parametrize("name", list(FROZEN))
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("prior", [1, 9, 130])
+    def test_frozen_decode_byte_equal_to_reference(self, prior, layer, name, reuse_values):
+        weights = small_weights(seed=23, max_seq_len=160)
+        lw = weights.layers[layer]
+        other = LayerPlan(assignment=(0, 1, 2, 3), representatives=(0, 1, 2, 3))
+        layers = [other, other]
+        layers[layer] = self.FROZEN[name]
+        tensors = plan_tensors(weights, ClusterPlan(layers=tuple(layers)), reuse_values)
+        singleton = singleton_tensors(weights)
+        rng = np.random.default_rng(prior * 10 + layer)
+        prompt = rng.standard_normal((prior, 32)).astype(np.float32)
+        rows = rng.standard_normal((3, 32)).astype(np.float32)
+
+        def kernel(x, cache):
+            return clustered_forward(x, lw, cache, layer, tensors)
+
+        def reference(x, cache):
+            return reference_clustered_decode(x, lw, cache, layer, tensors)
+
+        runs = []
+        for decode in (kernel, reference):
+            cache = KVCache(weights.config, singleton.layout, prior + 3)
+            reference_mha_forward(prompt, lw, cache, layer)
+            prune_cache(cache, tensors.layout)
+            outs = [decode(row[None, :], cache) for row in rows]
+            runs.append((outs, cache.layers[layer]))
+        (got, got_cache), (want, want_cache) = runs
+
+        assert tensors.layout.cluster_of_slot[layer] is not None or name == "grouped"
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float32 and g.shape == w.shape == (1, 32)
+            assert g.tobytes() == w.tobytes()
+        assert got_cache.length == want_cache.length == prior + 3
+        assert got_cache.keys.shape == want_cache.keys.shape
+        assert got_cache.keys.tobytes() == want_cache.keys.tobytes()
+        assert got_cache.values.tobytes() == want_cache.values.tobytes()
 
     @pytest.mark.parametrize("layer", [0, 1])
     @pytest.mark.parametrize("prior", [0, 1, 9, 64, 130])
@@ -375,6 +425,23 @@ class TestClusteredForward:
             assert lc.values.tobytes() == before[1].tobytes()
             assert trace.rows.tobytes() == before[2].tobytes()
             assert trace.recorded == [1, 0]
+
+    @pytest.mark.parametrize("tokens", [1, 3])
+    def test_rows_past_capacity_rejected_before_caching(self, tokens):
+        """The cache's rotary table ends at its capacity, so rows that do
+        not fit raise before they are projected."""
+        weights = small_weights(seed=8)
+        singleton = singleton_tensors(weights)
+        cache = KVCache(weights.config, singleton.layout, 4)
+        x = np.random.default_rng(2).standard_normal((5 - tokens, 32)).astype(np.float32)
+        clustered_forward(x, weights.layers[0], cache, 0, singleton)
+        lc = cache.layers[0]
+        before = lc.keys.copy(), lc.values.copy(), lc.length
+        x = np.ones((tokens, 32), dtype=np.float32)
+        with pytest.raises(ContractError, match=f"capacity 4 exceeded at length {5 - tokens}"):
+            clustered_forward(x, weights.layers[0], cache, 0, singleton)
+        assert (lc.keys.tobytes(), lc.values.tobytes(), lc.length) == (
+            before[0].tobytes(), before[1].tobytes(), before[2])
 
 
 class TestPruneCache:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from chai.errors import ConfigError, ContractError, ShapeError
-from chai.kernels import apply_rope_heads, matmul, rms_norm, softmax_rows
-from helpers import reference_softmax_rows
+from chai.kernels import apply_rope_heads, matmul, rms_norm, rope_table, softmax_rows
+from helpers import reference_apply_rope_heads, reference_rms_norm, reference_softmax_rows
 
 
 def naive_matmul(a, b):
@@ -265,3 +265,86 @@ class TestApplyRope:
         both = apply_rope_heads(x, 5)
         np.testing.assert_array_equal(both[0], apply_rope_heads(x[:1], 5)[0])
         np.testing.assert_array_equal(both[1], apply_rope_heads(x[1:], 6)[0])
+
+
+class TestRmsNormOracle:
+    """The `np.add.reduce` form, and the float32-scalar form of one row,
+    against `np.mean`'s, byte for byte, on rows from 1e-20 to 1e15 with -0.0
+    and subnormal entries."""
+
+    @staticmethod
+    def rows(dim, seed):
+        rng = np.random.default_rng(seed)
+        scales = np.array([1e-20, 1e-3, 1.0, 7.5, 1e6, 1e15])[:, None]
+        x = (rng.standard_normal((6, dim)) * scales).astype(np.float32)
+        x[0, 0] = -0.0
+        x[2, -1] = np.float32(1e-41)  # subnormal
+        tiny = np.full((1, dim), -1e-44, dtype=np.float32)  # all subnormal
+        return np.vstack([x, tiny, np.zeros((1, dim), dtype=np.float32)])
+
+    @pytest.mark.parametrize("gain_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [1, 3, 5, 7, 100, 512])
+    def test_byte_equal_to_mean_form(self, dim, gain_dtype):
+        x = self.rows(dim, seed=dim)
+        gain = np.random.default_rng(dim + 1).standard_normal(dim).astype(gain_dtype)
+        gain[0] = -0.0
+        for rows in (x, x[3], x[6]):  # a matrix and single vectors
+            got = rms_norm(rows, gain)
+            assert got.dtype == np.float32
+            assert got.tobytes() == reference_rms_norm(rows, gain).tobytes()
+        assert np.signbit(rms_norm(x, gain)[:, 0]).any()  # -0.0 kept
+
+    @pytest.mark.parametrize("eps", [1e-5, 0.1])
+    @pytest.mark.parametrize("dim", [1, 3, 5, 7, 100, 512])
+    def test_single_rows_byte_equal_to_mean_form(self, dim, eps):
+        rng = np.random.default_rng(dim)
+        magnitudes = 10.0 ** rng.uniform(-20, 15, size=(300, 1))
+        x = (rng.standard_normal((300, dim)) * magnitudes).astype(np.float32)
+        gain = rng.standard_normal(dim).astype(np.float32)
+        got = np.concatenate([rms_norm(row[None, :], gain, eps) for row in x])
+        assert got.tobytes() == reference_rms_norm(x, gain, eps).tobytes()
+
+    def test_zero_row_without_eps_matches_mean_form(self):
+        x = np.zeros((1, 4), dtype=np.float32)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got, want = rms_norm(x, np.ones(4), eps=0.0), reference_rms_norm(x, np.ones(4), 0.0)
+        assert np.isnan(got).all() and got.tobytes() == want.tobytes()
+
+
+class TestRopeTable:
+    """Rotation by a cache's table against the per-call float64 formula,
+    byte for byte, at every position a 2112-position cache holds."""
+
+    POSITIONS = 2112
+
+    @pytest.mark.parametrize("head_dim", [2, 8, 16, 64])
+    def test_every_position_byte_equal_to_reference(self, head_dim):
+        rng = np.random.default_rng(head_dim)
+        x = (rng.standard_normal((self.POSITIONS, 3, head_dim)) * 3).astype(np.float32)
+        x[5, 1, 0] = -0.0
+        table = rope_table(self.POSITIONS, head_dim)
+        assert table.dtype == np.float32 and table.shape == (2, self.POSITIONS, 1, head_dim)
+        rows = [apply_rope_heads(x[p : p + 1], p, table) for p in range(self.POSITIONS)]
+        want = [reference_apply_rope_heads(x[p : p + 1], p) for p in range(self.POSITIONS)]
+        assert np.concatenate(rows).tobytes() == np.concatenate(want).tobytes()
+        for start in range(0, self.POSITIONS, 300):
+            block = x[start : start + 300]
+            got = apply_rope_heads(block, start, table)
+            assert got.tobytes() == reference_apply_rope_heads(block, start).tobytes(), start
+
+    def test_default_table_and_leading_axes(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 5, 4, 8)).astype(np.float32)
+        table = rope_table(30, 8)
+        both = apply_rope_heads(x, 20, table)
+        for i in range(2):
+            assert both[i].tobytes() == apply_rope_heads(x[i], 20).tobytes()
+            assert both[i].tobytes() == reference_apply_rope_heads(x[i], 20).tobytes()
+
+    def test_table_holds_cos_and_signed_sin_per_pair(self):
+        table = rope_table(3, 4).astype(np.float64)[:, :, 0]
+        angles = np.arange(3)[:, None] * 10000.0 ** (-np.arange(2) * 2.0 / 4)
+        np.testing.assert_allclose(table[0, :, 0::2], np.cos(angles), atol=1e-7)
+        np.testing.assert_array_equal(table[0, :, 0::2], table[0, :, 1::2])
+        np.testing.assert_allclose(table[1, :, 1::2], np.sin(angles), atol=1e-7)
+        np.testing.assert_array_equal(table[1, :, 0::2], -table[1, :, 1::2])

@@ -35,8 +35,10 @@ BENCH_COLUMNS = ("mode", "seq_len", "flops", "kv_bytes", "savings_fraction")
 
 # (name, prompt flags, steps, profile, extra flags); long.bin holds 300
 # tokens, ragged.bin 280: with a 1 MiB score budget the 8-head model
-# prefills them in head groups of 2, 2, 2, 2 and of 3, 3, 2. boundary's
-# steps are identify_at + 1, so its frozen epoch is one step long.
+# prefills them in head groups of 2, 2, 2, 2 and of 3, 3, 2. past512.bin
+# holds 600 tokens, prefilled one head per group, whose positions run past
+# 512; two_tokens prefills two rows. boundary's steps are identify_at + 1,
+# so its frozen epoch is one step long.
 INPUTS = (
     ("text", ["--text", TEXT], 24, "w5", []),
     ("boundary", ["--text", TEXT], 6, "w5", ["--identify-at", "5"]),
@@ -45,7 +47,10 @@ INPUTS = (
     ("one_byte", ["--text", "a"], 9, "w5", ["--identify-at", "3"]),
     ("three_bytes", ["--text", "abc"], 4, "w5", []),
     ("window1", ["--text", TEXT], 12, "w1", ["--identify-at", "1"]),
+    ("two_tokens", ["--text", "ab"], 8, "w5", []),
+    ("past512", ["--prompt", "past512.bin"], 8, "w5", []),
 )
+PAST_512 = [(13 * t + 7) % 256 for t in range(600)]
 
 
 # The weight path the benchmark's set-up takes, which no CLI command runs:
@@ -114,6 +119,7 @@ def run_pipeline(src: Path, work: Path) -> dict[str, bytes]:
     (work / "long.bin").write_bytes(struct.pack("<300i", *long_prompt))
     ragged_prompt = [(11 * t + 3) % 256 for t in range(280)]
     (work / "ragged.bin").write_bytes(struct.pack("<280i", *ragged_prompt))
+    (work / "past512.bin").write_bytes(struct.pack(f"<{len(PAST_512)}i", *PAST_512))
     for window in ("5", "1"):
         _chai(src, work, "calibrate", "--weights", "weights.bin", "--corpus", "corpus.json",
               "--window", window, "--out", f"w{window}.json")
@@ -141,10 +147,16 @@ def run_pipeline(src: Path, work: Path) -> dict[str, bytes]:
             if traced:
                 keep(f"trace_{mode}.csv")
 
+    # the compare runs carry the logits' bits, through their divergences
     for mode in CLUSTERED:
         out = f"compare_{mode}.json"
         _chai(src, work, "compare", "--weights", "weights.bin", "--profile", "w5.json",
               "--text", TEXT, "--steps", "24", "--mode", mode, "--out", out)
+        keep(out)
+    for mode in CLUSTERED:
+        out = f"compare_past512_{mode}.json"
+        _chai(src, work, "compare", "--weights", "weights.bin", "--profile", "w5.json",
+              "--prompt", "past512.bin", "--steps", "8", "--mode", mode, "--out", out)
         keep(out)
 
     # The same model with a 2**20-position limit: caches sized by the request
