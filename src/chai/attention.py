@@ -58,7 +58,11 @@ class LayerCache:
         self.length = 0
 
     def append(self, new_keys: np.ndarray, new_values: np.ndarray) -> None:
-        """Append `tokens` new positions; arrays are (stored_heads, tokens, head_dim)."""
+        """Append `tokens` new positions; arrays are (stored_heads, tokens, head_dim).
+
+        The capacity check guards direct callers: `clustered_forward` checks
+        the owning cache's capacity itself, before projecting, since its
+        rotary table ends there too."""
         tokens = new_keys.shape[1]
         if self.length + tokens > self.keys.shape[1]:
             raise ContractError(
@@ -410,8 +414,8 @@ def clustered_forward(
     new_values = matmul(x, pt.wv[layer]).reshape(tokens, -1, head_dim)
     lc.append(rotated[1].transpose(1, 0, 2), new_values.transpose(1, 0, 2))
     queries = rotated[0].transpose(1, 0, 2)
-    live_keys = lc.keys[:, : start + tokens].transpose(0, 2, 1)
-    live_values = lc.values[:, : start + tokens]
+    live_keys = lc.live_keys().transpose(0, 2, 1)
+    live_values = lc.live_values()
 
     merged = np.empty((tokens, num_heads * head_dim), dtype=np.float32)
     head_outputs = merged.reshape(tokens, num_heads, head_dim).transpose(1, 0, 2)

@@ -160,21 +160,18 @@ def rope_table(positions: int, head_dim: int) -> np.ndarray:
     return table.reshape(2, positions, 1, head_dim)
 
 
-def apply_rope_heads(x: np.ndarray, start_position: int, table: np.ndarray | None = None):
+def apply_rope_heads(x: np.ndarray, start_position: int, table: np.ndarray):
     """Rotate consecutive dimension pairs of a (..., T, heads, head_dim) block.
 
     Row i sits at absolute position start_position + i; pair p of every head
     rotates by angle position * ROPE_BASE**(-2p / head_dim). Applied to
     queries and keys before caching, so cached keys never need re-rotation.
-    `table` is a `rope_table` covering those positions (a KV cache's); by
-    default one is built for them.
+    `table` is a `rope_table` covering those positions (a KV cache's).
     """
     shape = x.shape
     if len(shape) < 3:
         raise ShapeError(f"expected a (..., T, heads, head_dim) block, got shape {shape}")
     end = start_position + shape[-3]
-    if table is None:
-        table = rope_table(end, shape[-1])
     cos = table[0, start_position:end]
     sin = table[1, start_position:end]
     swapped = np.empty(shape, DTYPE)  # each pair's entries swapped: 1, 0, 3, 2, ...

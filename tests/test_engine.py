@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -61,6 +62,53 @@ class TestForwardPass:
         weights.output_projection[:, 3] = np.nan
         with pytest.raises(ContractError, match="non-finite logits at cache position 3"):
             generate(weights, random_prompt(weights.config, 4, seed=0), 2, "MHA")
+
+
+    def test_swiglu_past_exp_overflow_is_silent_and_byte_equal(self, monkeypatch):
+        # each layer's w_gate is scaled so its lowest gate entry is about -89,
+        # just past -88.72, where float32 exp(-gate) overflows to inf and
+        # silu(gate) is -0.0
+        weights = small_weights(seed=2)
+        tensors = singleton_tensors(weights)
+        prompt = random_prompt(weights.config, 6, seed=2)
+        calls = []  # (weight matrix, left operand, product) per engine matmul
+        real_matmul = engine_mod.matmul
+
+        def spy(a, b, *args, **kwargs):
+            out = real_matmul(a, b, *args, **kwargs)
+            calls.append((b, a.copy(), out.copy()))
+            return out
+
+        monkeypatch.setattr(engine_mod, "matmul", spy)
+
+        def run():
+            calls.clear()
+            cache = KVCache(weights.config, tensors.layout, len(prompt))
+            with warnings.catch_warnings(), np.errstate(all="warn"):
+                warnings.simplefilter("error")
+                return prefill(weights, prompt, cache, tensors)
+
+        def products(w):
+            return [(a, out) for b, a, out in calls if b is w]
+
+        for lw in weights.layers:  # a layer's scale moves only later layers' gates
+            run()
+            (_, gate), = products(lw.w_gate)
+            lw.w_gate[...] *= np.float32(89.0 / -gate.min())
+        run()
+        for lw in weights.layers:
+            (_, gate), = products(lw.w_gate)
+            (_, up), = products(lw.w_up)
+            (gated, _), = products(lw.w_down)
+            assert -89.5 < gate.min() < -88.8
+            with np.errstate(over="ignore"):
+                exp = np.exp(-gate)
+            want = gate / (1.0 + exp) * up
+            assert gated.tobytes() == want.tobytes()
+            overflowed = np.isinf(exp)
+            assert overflowed.any()
+            assert np.all(gated[overflowed] == 0.0)
+            assert np.all(np.signbit(gated[overflowed]) == (up[overflowed] > 0))
 
 
 class TestGenerateMha:

@@ -232,18 +232,23 @@ class TestRmsNorm:
             np.testing.assert_array_equal(out[i], rms_norm(x[i], gain))
 
 
+def _rope(x, start):
+    """`apply_rope_heads` by a table that ends at the block's last position."""
+    return apply_rope_heads(x, start, rope_table(start + x.shape[-3], x.shape[-1]))
+
+
 class TestApplyRope:
     """apply_rope_heads on (T, 1, d) blocks: one head, rows at successive positions."""
 
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 1, 8)).astype(np.float32)
-        np.testing.assert_allclose(apply_rope_heads(x, 0)[0, 0], x[0, 0], atol=1e-7)
+        np.testing.assert_allclose(_rope(x, 0)[0, 0], x[0, 0], atol=1e-7)
 
     def test_pairwise_norm_preserved(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((6, 1, 10)).astype(np.float32)
-        out = apply_rope_heads(x, 17)
+        out = _rope(x, 17)
         for p in range(5):
             before = np.hypot(x[:, 0, 2 * p], x[:, 0, 2 * p + 1])
             after = np.hypot(out[:, 0, 2 * p], out[:, 0, 2 * p + 1])
@@ -251,20 +256,20 @@ class TestApplyRope:
 
     def test_unit_vector_at_position_one(self):
         x = np.array([[[1.0, 0.0]]], dtype=np.float32)
-        out = apply_rope_heads(x, 1)
+        out = _rope(x, 1)
         np.testing.assert_allclose(out[0, 0], [math.cos(1.0), math.sin(1.0)], atol=1e-6)
 
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ConfigError):
-            apply_rope_heads(np.zeros((2, 1, 3), dtype=np.float32), 0)
+            rope_table(2, 3)
 
     def test_rows_advance_positions(self):
         # Two stacked rows must equal two single-row calls at successive positions.
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 1, 6)).astype(np.float32)
-        both = apply_rope_heads(x, 5)
-        np.testing.assert_array_equal(both[0], apply_rope_heads(x[:1], 5)[0])
-        np.testing.assert_array_equal(both[1], apply_rope_heads(x[1:], 6)[0])
+        both = _rope(x, 5)
+        np.testing.assert_array_equal(both[0], _rope(x[:1], 5)[0])
+        np.testing.assert_array_equal(both[1], _rope(x[1:], 6)[0])
 
 
 class TestRmsNormOracle:
@@ -332,13 +337,13 @@ class TestRopeTable:
             got = apply_rope_heads(block, start, table)
             assert got.tobytes() == reference_apply_rope_heads(block, start).tobytes(), start
 
-    def test_default_table_and_leading_axes(self):
+    def test_longer_table_and_leading_axes(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 5, 4, 8)).astype(np.float32)
         table = rope_table(30, 8)
         both = apply_rope_heads(x, 20, table)
         for i in range(2):
-            assert both[i].tobytes() == apply_rope_heads(x[i], 20).tobytes()
+            assert both[i].tobytes() == _rope(x[i], 20).tobytes()
             assert both[i].tobytes() == reference_apply_rope_heads(x[i], 20).tobytes()
 
     def test_table_holds_cos_and_signed_sin_per_pair(self):

@@ -1,6 +1,6 @@
 """Decode step against its matmul floor, on the benchmark model.
 
-Usage: python tools/decode_floor.py [--src SRC_DIR] [--blocks N] [--block-steps N]
+Usage: python tools/decode_floor.py [--src SRC_DIR]
 
 For each mode's frozen plan epoch (MHA: the singleton plan; CHAI: the
 planted plan; CHAI_QKV: the planted plan with value reuse; CHAI_STATIC's
@@ -10,8 +10,8 @@ the Q/K/V projections, the batched scores and value blends over the cache,
 wo, the MLP and the LM head, at the step's shapes and on its weight columns,
 called with `@` and `np.matmul` directly. Each step decodes at the same
 position (every layer's cache length is reset after it). Steps and floors
-alternate in blocks of `--block-steps` calls, in one process at one BLAS
-thread, and each figure is the median over `--blocks` blocks of the
+alternate in BLOCKS blocks of BLOCK_STEPS calls each, in one process at
+one BLAS thread, and each figure is the median over the blocks of the
 per-call process CPU time.
 
 Prints one JSON line: per "MODE@positions", the step and floor in ms and
@@ -38,6 +38,8 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 LENGTHS = (256, 512)
 MODES = ("MHA", "CHAI", "CHAI_QKV")
+BLOCKS = 25
+BLOCK_STEPS = 40
 
 
 def _model(harness, model):
@@ -119,11 +121,7 @@ def _block_ms(fn, calls: int) -> float:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"))
-    parser.add_argument("--blocks", type=int, default=25)
-    parser.add_argument("--block-steps", type=int, default=40)
     args = parser.parse_args(argv)
-    if args.blocks < 1 or args.block_steps < 1:
-        parser.error("--blocks and --block-steps must be >= 1")
     sys.path.insert(0, str(Path(args.src).resolve()))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import harness
@@ -144,9 +142,9 @@ def main(argv: list[str]) -> int:
             floor = _floor(weights, tensors, positions)
             step(), floor()  # warm
             steps, floors = [], []
-            for _ in range(args.blocks):
-                steps.append(_block_ms(step, args.block_steps))
-                floors.append(_block_ms(floor, args.block_steps))
+            for _ in range(BLOCKS):
+                steps.append(_block_ms(step, BLOCK_STEPS))
+                floors.append(_block_ms(floor, BLOCK_STEPS))
             step_ms, floor_ms = float(np.median(steps)), float(np.median(floors))
             report[f"{mode}@{positions}"] = {
                 "step_ms": round(step_ms, 4),
