@@ -27,9 +27,14 @@ its own SSE test; the restarts go in groups whose (R, n, dim) float64
 temporaries fit LLOYD_BUFFER_BYTES, so wide identification features stay
 cache-sized. Cluster means come from one stacked block per distinct cluster
 size across the group, and the empty-cluster repair is one vectorized pass
-over every restart that has an empty cluster. Each is bit-equal to the
-per-cluster reference `reference_kmeans` in tests/helpers.py, which the
-tests hold it to.
+over every restart that has an empty cluster. Each set's squared point
+norms are computed once, when it is widened to float64, for all its
+restarts. A restart finishes at its fixpoint, the first iteration after the
+first whose labels equal those its centroids are the means of: the next
+iteration would repeat it bit for bit, so its centroids and SSE are already
+the final ones (see `_lloyd`). Each is bit-equal to the per-cluster
+reference `reference_kmeans` in tests/helpers.py, which the tests hold it
+to.
 """
 
 from __future__ import annotations
@@ -149,7 +154,7 @@ def _kmeans_sets(sets, draws, extras) -> list[KMeansResult]:
     ks = [draw.shape[1] for draw in draws]
     shapes = [(points.shape, k) for points, k in zip(sets, ks)]
     best: list[KMeansResult | None] = [None] * len(sets)
-    widened = (None, None)  # the set last widened to float64, and its points
+    widened = (None, None, None)  # the set last widened to float64, its points and norms
     for shape in dict.fromkeys(shapes):
         (n, dim), k = shape
         runs = [(s, i) for s in range(len(sets)) if shapes[s] == shape
@@ -160,16 +165,18 @@ def _kmeans_sets(sets, draws, extras) -> list[KMeansResult]:
             owners = [s for s, _ in chunk]
             if owners[0] == owners[-1]:  # one set's restarts share its (n, dim) points
                 if widened[0] != owners[0]:
-                    widened = (owners[0], np.asarray(sets[owners[0]], dtype=np.float64))
-                points = widened[1]
+                    points = np.asarray(sets[owners[0]], dtype=np.float64)
+                    widened = (owners[0], points, _sqnorms(points))
+                _, points, p2 = widened
                 own = [points] * len(chunk)
             else:
                 points = own = np.array([sets[s] for s in owners], dtype=np.float64)
+                p2 = _sqnorms(points)
             inits = np.stack([
                 own[j][draws[s][i]] if i < len(draws[s]) else extras[s][i - len(draws[s])]
                 for j, (s, i) in enumerate(chunk)
             ])
-            assignment, centroids, sse = _lloyd(points, inits)
+            assignment, centroids, sse = _lloyd(points, inits, p2)
             for j, (s, value) in enumerate(zip(owners, sse.tolist())):
                 if best[s] is None or value < best[s].sse:  # copied: a view pins the group
                     best[s] = KMeansResult(assignment[j].copy(), centroids[j].copy(), value)
@@ -246,13 +253,18 @@ def _kmeanspp_seeds(pairwise, ks, rngs, restarts: int, owners=None) -> list[np.n
     return draws
 
 
+def _sqnorms(points: np.ndarray) -> np.ndarray:
+    """The squared norms of the rows of `points`, with a trailing axis of 1."""
+    return (points**2).sum(axis=-1)[..., None]
+
+
 def _sqdist(points: np.ndarray, centroids: np.ndarray, p2=None) -> np.ndarray:
     """(n, k) squared distances to (k, dim) centroids, or (R, n, k) to an
     (R, k, dim) stack of them, from one (n, dim) set or an (R, n, dim) stack
     of sets; each slice has the bits of the 2-D case. `p2` is the points'
-    squared norms with a trailing axis of 1, if already known."""
+    `_sqnorms`, if already known."""
     if p2 is None:
-        p2 = (points**2).sum(axis=-1)[..., None]
+        p2 = _sqnorms(points)
     c2 = (centroids**2).sum(axis=-1)[..., None, :]
     return np.maximum(p2 + c2 - 2.0 * np.matmul(points, np.swapaxes(centroids, -1, -2)), 0.0)
 
@@ -340,23 +352,38 @@ def _repair_empty(points, assignment, centroids, d2, counts):
     return assignment, centroids
 
 
-def _lloyd(points: np.ndarray, inits: np.ndarray):
+def _lloyd(points: np.ndarray, inits: np.ndarray, p2: np.ndarray):
     """Lloyd's iterations from an (R, k, dim) stack of inits, all restarts at
     once; each stops on its own SSE test, exactly where it would alone.
     `points` is the (n, dim) set every restart clusters, or an (R, n, dim)
-    stack of each restart's own.
+    stack of each restart's own, and `p2` their `_sqnorms`.
+
+    A restart also finishes at its fixpoint: at an iteration after the first,
+    where its new labels equal the labels its centroids are the means of.
+    Those labels fill every cluster, so no repair happened. The next
+    iteration would repeat this one bit for bit (the same means, distances,
+    labels and SSE, a cut of 0, so the SSE test stops it), and the final
+    means and SSE are then the current centroids and SSE. So a restart at
+    its fixpoint keeps what it holds, and only the restarts stopped by the
+    SSE test elsewhere or by MAX_ITERATIONS get their means and SSE
+    recomputed, in one batch. (The batched means, distances and SSEs have
+    each restart's own bits, whichever restarts share the batch.)
 
     Returns the (R, n) assignments, (R, k, dim) centroids and (R,) SSEs.
     """
     restarts, k, _ = inits.shape
     assignment = np.empty((restarts, points.shape[-2]), dtype=np.intp)
+    centroids = np.empty_like(inits)
+    final_sse = np.empty(restarts)
+    stale = np.ones(restarts, dtype=bool)  # the restarts whose means need recomputing
     active = np.arange(restarts)  # the restarts still iterating, in order
-    live, own = inits, points  # their centroids and points
+    live, own, means_of = inits, points, None  # their centroids, points, and labels
     prev_sse = np.full(restarts, np.inf)
-    p2 = (points**2).sum(axis=-1)[..., None]
     for _ in range(MAX_ITERATIONS):
         d2 = _sqdist(own, live, p2)
         labels = d2.argmin(axis=2)
+        fixed = (np.zeros(len(active), dtype=bool) if means_of is None
+                 else (labels == means_of).all(axis=1))
         counts = np.bincount((labels + k * np.arange(len(active))[:, None]).ravel(),
                              minlength=len(active) * k).reshape(-1, k)
         labels, live = _repair_empty(own, labels, live, d2, counts)
@@ -369,17 +396,25 @@ def _lloyd(points: np.ndarray, inits: np.ndarray):
                 f"({float(prev_sse[r])!r} -> {float(sse[r])!r})"
             )
         assignment[active] = labels
+        if fixed.any():
+            at = active[fixed]
+            centroids[at], final_sse[at], stale[at] = live[fixed], sse[fixed], False
         cut = prev_sse - sse
         done = np.isfinite(prev_sse) & (cut <= RELATIVE_TOL * np.maximum(prev_sse, 1e-12))
+        done |= fixed
         if done.all():
             break
         going = ~done
-        active, prev_sse, labels = active[going], sse[going], labels[going]
+        active, prev_sse, means_of = active[going], sse[going], labels[going]
         if points.ndim == 3:
             own, p2 = own[going], p2[going]
-        live = _cluster_means(own, labels, k)
-    centroids = _cluster_means(points, assignment, k)
-    return assignment, centroids, _sse(points, centroids, assignment)
+        live = _cluster_means(own, means_of, k)
+    stale = np.flatnonzero(stale)
+    if stale.size:
+        own = points if points.ndim == 2 else points[stale]
+        centroids[stale] = _cluster_means(own, assignment[stale], k)
+        final_sse[stale] = _sse(own, centroids[stale], assignment[stale])
+    return assignment, centroids, final_sse
 
 
 def sse_curve(points, seed=0):

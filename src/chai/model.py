@@ -119,10 +119,10 @@ class Weights:
 def head_columns(w: np.ndarray, heads, head_dim: int) -> np.ndarray:
     """Column submatrix of `w` covering the given heads' blocks, in the order
     given. Returns `w` itself when the selection is all heads in order."""
-    if list(heads) == list(range(w.shape[1] // head_dim)):
+    heads, d = list(heads), w.shape[0]
+    if heads == list(range(w.shape[1] // head_dim)):
         return w
-    cols = np.concatenate([np.arange(h * head_dim, (h + 1) * head_dim) for h in heads])
-    return np.ascontiguousarray(w[:, cols])
+    return w.reshape(d, -1, head_dim)[:, heads].reshape(d, -1)
 
 
 class _SplitMix64Stream:

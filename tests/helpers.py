@@ -1,8 +1,10 @@
 """Shared fixtures for the test suite: tiny configs and planted-redundancy models."""
 
 import csv
+import importlib.util
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +18,17 @@ from chai.errors import ContractError, ValidationError
 from chai.kernels import ROPE_BASE, matmul
 from chai.model import ModelConfig, Weights, init_random, make_redundant
 from chai.plan import ClusterPlan, HeadLayout, LayerPlan
+
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name: str):
+    """The script tools/<name>.py as a module (tools/ is not a package)."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def small_config(**overrides) -> ModelConfig:

@@ -460,9 +460,9 @@ class TestBatchOracle:
         calls = []
         real_lloyd, real_repair = clustering_mod._lloyd, clustering_mod._repair_empty
 
-        def lloyd(points, inits):
+        def lloyd(points, inits, p2):
             calls.append({"mixed": points.ndim == 3, "active": [], "repairs": []})
-            return real_lloyd(points, inits)
+            return real_lloyd(points, inits, p2)
 
         def repair(points, assignment, centroids, d2, counts):
             calls[-1]["active"].append(len(assignment))
@@ -533,6 +533,109 @@ class TestBatchOracle:
         with pytest.raises(ValidationError, match="one seed per point set"):
             sse_curve(sets, seed=[0])
         assert kmeans([], [], seed=[]) == [] and sse_curve([], seed=[]) == []
+
+
+def signed_pairs(xs, y):
+    """Points (x, y) and (x, -y) for each x: every cluster that keeps the
+    pairs together has a y-mean of exactly 0, and adds y^2 per point to SSE."""
+    return np.array([(x, sign * y) for x in xs for sign in (1, -1)], dtype=np.float64)
+
+
+class TestFixpoint:
+    """A Lloyd restart finishes at its fixpoint: the first iteration after the
+    first whose labels equal those its centroids are the means of. It keeps
+    its centroids and SSE, and still matches `reference_kmeans` bit for bit,
+    which runs one more iteration and recomputes both."""
+
+    # (name, points, init); every set is 12 x 2, so with one extra init each
+    # and no seeded restarts they run as one mixed (5, 12, 2) Lloyd batch
+    BATCH = (
+        ("fixpoint at 2", signed_pairs([0, 1, 2, 10, 11, 12], 1), [[0, 1], [12, -1]]),
+        ("fixpoint at 3", signed_pairs([0, 1, 2, 10, 11, 12], 1), [[0, 0], [1.5, 0]]),
+        ("fixpoint at 4", signed_pairs([0, 1, 2, 4, 7, 11], 1), [[0, 0], [0.5, 0]]),
+        # the y^2 terms make the relative SSE test stop iteration 2, whose
+        # labels moved one pair
+        ("stopped by SSE", signed_pairs([-3, -2, -1, 1, 2, 3], 4096), [[-2.5, 0], [0.25, 0]]),
+        # every point the same: each iteration empties cluster 1 and refills it
+        # with point 0, so the repaired labels repeat in iteration 2
+        ("repaired at repeat", np.full((12, 2), 0.5), [[0.5, 0.5], [0.5, 0.5]]),
+    )
+
+    @staticmethod
+    def reference_iterations(monkeypatch, points, init):
+        """The oracle's (labels, repaired labels) per iteration of one restart."""
+        iterations = []
+        real_repair = helpers._reference_repair_empty
+
+        def repair(points, assignment, centroids, d2):
+            repaired = real_repair(points, assignment, centroids, d2)
+            iterations.append((assignment.copy(), repaired[0].copy()))
+            return repaired
+
+        with monkeypatch.context() as patch:
+            patch.setattr(helpers, "_reference_repair_empty", repair)
+            reference_kmeans(points, len(init), restarts=0, extra_inits=[init])
+        return iterations
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Restart rows per `_sqdist` and `_cluster_means` call."""
+        calls = {"sqdist": [], "means": []}
+        real_sqdist, real_means = clustering_mod._sqdist, clustering_mod._cluster_means
+
+        def sqdist(points, centroids, p2=None):
+            calls["sqdist"].append(len(centroids))
+            return real_sqdist(points, centroids, p2)
+
+        def means(points, assignment, k):
+            calls["means"].append(len(assignment))
+            return real_means(points, assignment, k)
+
+        monkeypatch.setattr(clustering_mod, "_sqdist", sqdist)
+        monkeypatch.setattr(clustering_mod, "_cluster_means", means)
+        return calls
+
+    def test_batch_bit_equal_and_only_non_fixpoints_recomputed(self, monkeypatch):
+        inits = [np.array(init, dtype=np.float64) for _, _, init in self.BATCH]
+        fixpoints, stops = [], []
+        for (name, points, _), init in zip(self.BATCH, inits):
+            iterations = self.reference_iterations(monkeypatch, points, init)
+            stops.append(len(iterations))
+            fixpoints.append(next((i + 1 for i in range(1, len(iterations))
+                                   if np.array_equal(iterations[i][0], iterations[i - 1][1])),
+                                  None))
+            if name == "repaired at repeat":
+                (_, before), (raw, repaired) = iterations
+                assert np.array_equal(repaired, before) and not np.array_equal(raw, repaired)
+        # the oracle runs one iteration past each fixpoint; the SSE test stops
+        # the last two restarts at iteration 2, away from any fixpoint
+        assert fixpoints == [2, 3, 4, None, None]
+        assert stops == [3, 4, 5, 2, 2]
+
+        calls = self.counted(monkeypatch)
+        got = kmeans([points for _, points, _ in self.BATCH], [2] * len(self.BATCH),
+                     seed=list(range(len(self.BATCH))), restarts=0,
+                     extra_inits=[[init] for init in inits])
+        for result, (_, points, _), init in zip(got, self.BATCH, inits):
+            assert_same_kmeans(result, reference_kmeans(points, 2, restarts=0, extra_inits=[init]))
+        # one batch: three restarts leave at their fixpoints (iterations 2, 3
+        # and 4) and two stop at iteration 2, and only those two have their
+        # means recomputed, after the loop
+        assert calls["sqdist"] == [5, 5, 2, 1]
+        assert calls["means"] == [5, 2, 1, 2]
+
+    def test_identical_points_finish_at_iteration_two(self, monkeypatch):
+        """With each cluster one point repeated, k-means++ seeds one point per
+        cluster, iteration 2 repeats iteration 1's labels, and no restart
+        needs a second `_cluster_means` call."""
+        rows = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 8.0]])
+        points = rows[np.arange(12) % 3]
+        calls = self.counted(monkeypatch)
+        got = kmeans(points, 3, seed=5)
+        assert_same_kmeans(got, reference_kmeans(points, 3, seed=5))
+        assert got.sse == 0.0
+        assert sum(calls["sqdist"]) == 2 * DEFAULT_RESTARTS
+        assert sum(calls["means"]) == DEFAULT_RESTARTS
 
 
 class TestSeedingPass:

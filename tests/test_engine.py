@@ -1,4 +1,8 @@
-import tracemalloc
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 import weakref
 
@@ -20,14 +24,12 @@ from chai.engine import (
     prefill,
 )
 from chai.errors import ContractError, ValidationError
-from chai.model import ModelConfig, init_random
 from chai.plan import ClusterPlan, HeadLayout
 from helpers import (
     acceptance_corpus,
     acceptance_fixture,
     degenerate_profile,
     fixture_profile,
-    grouped_plan,
     random_prompt,
     redundant_fixture,
     singleton_tensors,
@@ -499,30 +501,51 @@ class TestDecodeGathers:
 
 
 class TestRequestMemory:
-    @pytest.fixture(scope="class")
-    def benchmark_model(self):
-        """The benchmark's model shape with its 16/8/8/4 cluster counts."""
+    # The benchmark's model shape with its 16/8/8/4 cluster counts. Each mode
+    # first serves one untraced request, so no traced request pays for a
+    # first call's allocations, and the peaks come from a fresh interpreter,
+    # so nothing earlier tests left behind moves them.
+    PEAKS = textwrap.dedent(
+        """
+        import json, sys, tracemalloc
+        from chai.engine import MODES, generate
+        from chai.model import ModelConfig, init_random
+        from helpers import fixture_profile, grouped_plan, random_prompt
+
+        prompt_len, steps = map(int, sys.argv[1:])
         config = ModelConfig(
             num_layers=4, num_heads=32, model_dim=512, head_dim=16,
             ffn_dim=256, vocab_size=64, max_seq_len=2112,
         )
         weights = init_random(config, seed=0)
-        return weights, fixture_profile(weights, grouped_plan(4, 32, [16, 8, 8, 4]))
-
-    @pytest.mark.parametrize("prompt_len, steps", [(512, 32), (256, 512)])
-    def test_no_clustered_request_peaks_above_mha(self, benchmark_model, prompt_len, steps):
-        # Pruning narrows the request's one cache: a clustered request never
-        # holds two caches, so its traced peak stays within plain attention's.
-        weights, profile = benchmark_model
-        prompt = random_prompt(weights.config, prompt_len)
+        profile = fixture_profile(weights, grouped_plan(4, 32, [16, 8, 8, 4]))
+        prompt = random_prompt(config, prompt_len)
+        for mode in MODES:
+            generate(weights, prompt, steps, mode, profile=profile)
         peaks = {}
         for mode in MODES:
             tracemalloc.start()
-            try:
-                generate(weights, prompt, steps, mode, profile=profile)
-                peaks[mode] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            generate(weights, prompt, steps, mode, profile=profile)
+            peaks[mode] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        print(json.dumps(peaks))
+        """
+    )
+
+    @pytest.mark.parametrize("prompt_len, steps", [(512, 32), (256, 512)])
+    def test_no_clustered_request_peaks_above_mha(self, prompt_len, steps):
+        # Pruning narrows the request's one cache: a clustered request never
+        # holds two caches, so its traced peak stays within plain attention's.
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(engine_mod.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PEAKS, str(prompt_len), str(steps)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks = json.loads(proc.stdout)
+        assert set(peaks) == set(MODES)
         assert all(peak <= peaks["MHA"] for peak in peaks.values()), peaks
 
     @pytest.mark.parametrize("collect_trace", [False, True])

@@ -125,6 +125,23 @@ class TestMakeRedundant:
             make_redundant(small_weights(), ClusterPlan.singleton(2, 8))
 
 
+class TestHeadColumns:
+    W = np.random.default_rng(3).standard_normal((64, 96)).astype(np.float32)  # 12 heads of 8
+
+    @pytest.mark.parametrize("heads", [[0, 3, 7], [7, 0, 11, 3], [5], (2, 1)],
+                             ids=["ordered", "permuted", "single", "tuple"])
+    def test_byte_equal_to_the_column_gather_and_contiguous(self, heads):
+        cols = np.concatenate([np.arange(h * 8, (h + 1) * 8) for h in heads])
+        got = model.head_columns(self.W, heads, 8)
+        want = self.W[:, cols]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+    def test_every_head_in_order_is_the_matrix_itself(self):
+        assert model.head_columns(self.W, range(12), 8) is self.W
+
+
 class TestWeightFile:
     def test_round_trip_bitwise(self, tmp_path):
         # ffn_dim=1 makes w_down a 1-row matrix, which must stay a matrix

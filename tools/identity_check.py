@@ -13,6 +13,13 @@ the same thing when their SHA256SUMS files are equal:
     python tools/identity_check.py old/src out-old
     python tools/identity_check.py src out-new
     diff out-old/SHA256SUMS out-new/SHA256SUMS
+
+It also writes OUT_DIR/BUILD.json, the numpy version and BLAS build the sums
+were made with. tests/identity holds the sums of the engine as it stands,
+which tests/test_identity.py checks; a change that means to alter what the
+engine computes remakes them at one BLAS thread:
+
+    OPENBLAS_NUM_THREADS=1 python tools/identity_check.py src tests/identity
 """
 
 from __future__ import annotations
@@ -200,6 +207,20 @@ def run_pipeline(src: Path, work: Path) -> dict[str, bytes]:
     return artifacts
 
 
+def build() -> dict[str, str]:
+    """The numpy version and the BLAS name and version numpy was built with."""
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": numpy.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def sums(artifacts: dict[str, bytes]) -> str:
+    """The SHA256SUMS text of the artifacts, one line each, in pipeline order."""
+    return "".join(f"{hashlib.sha256(data).hexdigest()}  {name}\n"
+                   for name, data in artifacts.items())
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python tools/identity_check.py SRC_DIR OUT_DIR", file=sys.stderr)
@@ -211,9 +232,9 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         artifacts = run_pipeline(src, Path(tmp))
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"{hashlib.sha256(data).hexdigest()}  {name}\n" for name, data in artifacts.items()]
-    (out_dir / "SHA256SUMS").write_text("".join(lines))
-    print(f"wrote {len(lines)} hashes to {out_dir / 'SHA256SUMS'}")
+    (out_dir / "SHA256SUMS").write_text(sums(artifacts))
+    (out_dir / "BUILD.json").write_text(json.dumps(build(), indent=2) + "\n")
+    print(f"wrote {len(artifacts)} hashes to {out_dir / 'SHA256SUMS'}")
     return 0
 
 
